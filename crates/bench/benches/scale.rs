@@ -1,11 +1,11 @@
 //! Million-UG scale benchmarks: the SoA benefit arena vs the retained
-//! nested-lookup reference fill, and incremental delta rescoring vs a
-//! full refill.
+//! nested-lookup reference fill, and delta-then-recompute over the
+//! persistent arena vs a from-scratch compute.
 //!
-//! These are the two hot paths behind `figures scale`: the arena fill is
+//! These are the two paths behind `figures scale`: the arena fill is
 //! the per-prefix scoring kernel (linear in total candidacies), and the
-//! incremental path is what makes steady-state reconfiguration after a
-//! measurement delta cheap. Inputs come from the same synthetic
+//! incremental path is steady-state reconfiguration after a measurement
+//! delta — the same cold greedy, minus repacking the arena. Inputs come from the same synthetic
 //! generator the scale sweep uses, so bench numbers and BENCH_scale.json
 //! trajectories are directly comparable.
 
@@ -53,8 +53,8 @@ fn bench_fill_layouts(c: &mut Criterion) {
 }
 
 /// Steady-state reconfiguration at 100k UGs: apply one measurement delta
-/// and recompute incrementally (dirty-set rescoring over a warm cache)
-/// vs recomputing the whole configuration from scratch.
+/// and recompute incrementally (the arena is patched in place, not
+/// repacked) vs recomputing the whole configuration from scratch.
 fn bench_incremental_vs_full(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale/recompute");
     group.sample_size(10);
@@ -65,7 +65,7 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
 
     group.bench_with_input(BenchmarkId::new("incremental", n_ugs), &inputs, |b, inputs| {
         let mut orch = orchestrator_for(inputs);
-        let _ = orch.compute_config_incremental(); // warm cache, once
+        let _ = orch.compute_config_incremental(); // build the arena, once
         let mut k = 0;
         b.iter(|| {
             orch.apply_delta(deltas[k % deltas.len()].clone());

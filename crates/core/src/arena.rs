@@ -181,20 +181,6 @@ impl BenefitArena {
         self.weight[u] = weight;
     }
 
-    /// Groups peering indices by their PoP — the `D_reuse` exclusion is
-    /// anchored per PoP, so peerings sharing one read the same distance
-    /// rows and shard together cache-coherently. Shards come out in
-    /// ascending PoP order with each shard's peerings ascending, so the
-    /// grouping is a pure function of the input set.
-    pub fn shard_by_pop(&self, peerings: &[u32]) -> Vec<Vec<u32>> {
-        let mut shards: Vec<Vec<u32>> = vec![Vec::new(); self.n_pops.max(1)];
-        for &pe in peerings {
-            shards[self.peering_pop[pe as usize] as usize].push(pe);
-        }
-        shards.retain(|s| !s.is_empty());
-        shards
-    }
-
     /// Mean expected latency of UG `u` when a prefix is advertised via
     /// `advertised` (ascending), or `f64::INFINITY` if no candidate
     /// survives — exactly
@@ -365,13 +351,5 @@ mod tests {
         assert!(!arena.set_latency(0, PeeringId(1), 10.0), "non-member must refuse");
         arena.set_weight(1, 9.5);
         assert_eq!(arena.weight(1), 9.5);
-    }
-
-    #[test]
-    fn pop_shards_partition_and_order() {
-        let arena = BenefitArena::from_inputs(&inputs());
-        let shards = arena.shard_by_pop(&[2, 0, 1]);
-        assert_eq!(shards, vec![vec![0], vec![1], vec![2]]);
-        assert!(arena.shard_by_pop(&[]).is_empty());
     }
 }

@@ -1,39 +1,34 @@
-//! Incremental orchestrator mode: typed world deltas and the dirty-set
-//! cache behind [`crate::Orchestrator::apply_delta`].
+//! Incremental orchestrator mode: typed world deltas and the persistent
+//! arena behind [`crate::Orchestrator::apply_delta`].
 //!
 //! A planning loop at scale does not rebuild its world between rounds —
 //! it absorbs a stream of small changes: a peering session comes or goes
 //! ([`TopologyDelta`]), a probe refreshes a believed RTT, a demand
-//! estimate shifts ([`MeasurementDelta`]). Refilling the greedy's whole
-//! candidate heap after each one rescopes `Σ_pe |UGs(pe)| × PB` work that
-//! is overwhelmingly unchanged.
+//! estimate shifts ([`MeasurementDelta`]). Incremental mode keeps one
+//! [`BenefitArena`] alive across rounds and mirrors every delta into it:
+//! a latency or weight change is patched in place ([`ArenaPatch`]), a
+//! candidate-set membership change flags one CSR rebuild before the next
+//! compute, and a peering removal walks the arena's incidence row
+//! instead of scanning the world.
+//! [`crate::Orchestrator::compute_config_incremental`] then runs the same
+//! cold lazy greedy as [`crate::Orchestrator::compute_config_traced`]
+//! over that arena, so **the result is bit-identical to a from-scratch
+//! recompute at every scale and thread count** (enforced by
+//! `crates/core/tests/incremental_equivalence.rs`). No greedy state
+//! survives between rounds; DESIGN.md §17 has the measurement behind
+//! that.
 //!
-//! The incremental mode tracks exactly which benefit inputs each delta
-//! touched (a per-UG dirty set, widened to the peerings whose incidence
-//! contains a dirty UG) and replays the previous greedy run's per-prefix
-//! fill scores for every *clean* peering, rescoring only the dirty ones —
-//! sharded by their `D_reuse` PoP region across the orchestrator's rayon
-//! pool. The reuse is sound, not heuristic: a clean peering's fill score
-//! is a function of its own (unchanged) UGs and of the commit sequence so
-//! far, so cached values are replayed only while the commit sequence
-//! matches the previous run's, and the first divergence drops the run
-//! back to full scoring for the remaining prefixes. **The result is
-//! bit-identical to a from-scratch recompute at every scale and thread
-//! count** (enforced by `crates/core/tests/incremental_equivalence.rs`).
-//!
-//! Invalidation rules (see also DESIGN.md §17):
+//! Invalidation rules:
 //!
 //! * [`crate::Orchestrator::apply_delta`] is the supported mutation path;
-//!   it patches [`crate::OrchestratorInputs`], the arena, and the dirty
-//!   set coherently.
-//! * [`crate::Orchestrator::learn`] rewrites believed latencies and
-//!   dominance facts wholesale, so it drops the entire cache.
-//! * Changing `config`/`model`/`inputs` directly through the public
-//!   fields is legal but invisible — call
-//!   [`crate::Orchestrator::invalidate_incremental`] afterwards. A
-//!   fingerprint over budget, `D_reuse`, the marginal-benefit floor, the
-//!   learned-fact counts, and the world dimensions catches the common
-//!   cases and falls back to a full refill.
+//!   it edits [`crate::OrchestratorInputs`] and the arena coherently.
+//! * [`crate::Orchestrator::learn`] rewrites believed latencies
+//!   wholesale, so it drops the arena.
+//! * Editing `inputs` directly through the public field is legal but
+//!   invisible — call [`crate::Orchestrator::invalidate_incremental`]
+//!   afterwards. A change of `ugs.len()` or `peering_count` is caught and
+//!   rebuilds the arena; `config` and `model` are read live on every
+//!   compute and need nothing.
 
 use crate::arena::BenefitArena;
 use crate::inputs::OrchestratorInputs;
@@ -84,42 +79,11 @@ impl From<MeasurementDelta> for Delta {
     }
 }
 
-/// The previous greedy run, replayable: per-prefix full-width fill scores
-/// (`NaN` = peering had no incidence and was never scored) and the commit
-/// sequence they led to.
-#[derive(Debug, Clone)]
-pub(crate) struct WarmGreedy {
-    pub fill: Vec<Vec<f64>>,
-    pub commits: Vec<Vec<PeeringId>>,
-}
-
-/// Everything that must agree between the cached run and the next one for
-/// warm fills to be replayed. A mismatch silently falls back to a full
-/// refill (still through the arena).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Fingerprint {
-    pub prefix_budget: usize,
-    pub d_reuse_bits: u64,
-    pub min_marginal_bits: u64,
-    pub dominance: usize,
-    pub unreachable: usize,
-    pub n_ugs: usize,
-    pub n_peerings: usize,
-}
-
-/// The incremental cache owned by [`crate::Orchestrator`].
+/// The incremental state owned by [`crate::Orchestrator`].
 #[derive(Debug)]
 pub(crate) struct IncrementalState {
     pub arena: BenefitArena,
     pub index_of: HashMap<UgId, usize>,
-    pub warm: Option<WarmGreedy>,
-    pub fingerprint: Fingerprint,
-    /// UGs whose weight/candidates changed since the last compute.
-    pub dirty_ug: Vec<bool>,
-    /// Peering slots dirtied explicitly by deltas (a removed peering no
-    /// longer appears in any dirty UG's candidate row, so it cannot be
-    /// recovered by row-walking the dirty set).
-    pub dirty_pe: std::collections::HashSet<u32>,
     /// Candidate-set membership changed somewhere: the arena's CSR is
     /// stale and must be rebuilt before the next compute.
     pub membership_changed: bool,
@@ -136,7 +100,6 @@ pub(crate) enum ArenaPatch {
 /// What applying one delta touched.
 #[derive(Debug, Default)]
 pub(crate) struct AppliedDelta {
-    pub dirty_ugs: Vec<usize>,
     pub membership_changed: bool,
     pub patches: Vec<ArenaPatch>,
 }
@@ -157,10 +120,10 @@ fn upsert_candidate(inputs: &mut OrchestratorInputs, u: usize, pe: PeeringId, ms
     }
 }
 
-/// Applies `delta` to `inputs`, reporting the dirty UG set and whether
-/// candidate-set membership changed. `arena` (when fresh) provides the
-/// incidence list so a peering removal visits only its own UGs instead of
-/// scanning the world.
+/// Applies `delta` to `inputs`, reporting whether candidate-set membership
+/// changed and, for the edits that kept it, the matching arena patches.
+/// `arena` (when fresh) provides the incidence list so a peering removal
+/// visits only its own UGs instead of scanning the world.
 pub(crate) fn apply_to_inputs(
     inputs: &mut OrchestratorInputs,
     delta: &Delta,
@@ -183,37 +146,23 @@ pub(crate) fn apply_to_inputs(
                 } else {
                     out.patches.push(ArenaPatch::Latency { ug: u, peering: *peering, ms });
                 }
-                out.dirty_ugs.push(u);
             }
         }
         Delta::Topology(TopologyDelta::RemovePeering { peering }) => {
-            let remove_from = |inputs: &mut OrchestratorInputs, u: usize| -> bool {
+            let n_ugs = inputs.ugs.len();
+            let mut remove_from = |u: usize| {
                 let cands = &mut inputs.ugs[u].candidates;
-                match cands.binary_search_by_key(peering, |(p, _)| *p) {
-                    Ok(i) => {
-                        cands.remove(i);
-                        true
-                    }
-                    Err(_) => false,
+                if let Ok(i) = cands.binary_search_by_key(peering, |(p, _)| *p) {
+                    cands.remove(i);
+                    out.membership_changed = true;
                 }
             };
             match arena {
                 Some(arena) => {
-                    for &u in arena.ugs_of(peering.idx()) {
-                        if remove_from(inputs, u as usize) {
-                            out.dirty_ugs.push(u as usize);
-                        }
-                    }
+                    arena.ugs_of(peering.idx()).iter().for_each(|&u| remove_from(u as usize))
                 }
-                None => {
-                    for u in 0..inputs.ugs.len() {
-                        if remove_from(inputs, u) {
-                            out.dirty_ugs.push(u);
-                        }
-                    }
-                }
+                None => (0..n_ugs).for_each(remove_from),
             }
-            out.membership_changed = !out.dirty_ugs.is_empty();
         }
         Delta::Measurement(MeasurementDelta::RttShift { ug, peering, ms }) => {
             if let Some(&u) = index_of.get(ug) {
@@ -223,14 +172,12 @@ pub(crate) fn apply_to_inputs(
                 } else {
                     out.patches.push(ArenaPatch::Latency { ug: u, peering: *peering, ms: *ms });
                 }
-                out.dirty_ugs.push(u);
             }
         }
         Delta::Measurement(MeasurementDelta::DemandShift { ug, weight }) => {
             if let Some(&u) = index_of.get(ug) {
                 inputs.ugs[u].weight = *weight;
                 out.patches.push(ArenaPatch::Weight { ug: u, weight: *weight });
-                out.dirty_ugs.push(u);
             }
         }
     }
@@ -283,7 +230,6 @@ mod tests {
         });
         let applied = apply_to_inputs(&mut inp, &d, &idx, None);
         assert!(!applied.membership_changed);
-        assert_eq!(applied.dirty_ugs, vec![0]);
         assert_eq!(applied.patches.len(), 1);
         assert_eq!(inp.ugs[0].latency_via(PeeringId(1)), Some(41.0));
     }
@@ -310,13 +256,13 @@ mod tests {
         let d = Delta::from(TopologyDelta::RemovePeering { peering: PeeringId(1) });
         let applied = apply_to_inputs(&mut inp, &d, &idx, Some(&arena));
         assert!(applied.membership_changed);
-        assert_eq!(applied.dirty_ugs, vec![0, 1]);
         assert_eq!(inp.ugs[0].candidates, vec![(PeeringId(0), 30.0)]);
         assert!(inp.ugs[1].candidates.is_empty());
         // Scan path (no arena) agrees.
         let mut inp2 = inputs();
         let applied2 = apply_to_inputs(&mut inp2, &d, &idx, None);
-        assert_eq!(applied2.dirty_ugs, applied.dirty_ugs);
+        assert!(applied2.membership_changed);
+        assert_eq!(inp2.ugs[0].candidates, inp.ugs[0].candidates);
         assert_eq!(inp2.ugs[1].candidates, inp.ugs[1].candidates);
     }
 
@@ -331,8 +277,8 @@ mod tests {
             candidates: vec![(UgId(0), 28.0), (UgId(1), 61.0), (UgId(77), 1.0)],
         });
         let applied = apply_to_inputs(&mut inp, &add, &idx, None);
+        // The row naming unknown UG 77 is ignored.
         assert!(applied.membership_changed);
-        assert_eq!(applied.dirty_ugs, vec![0, 1], "unknown UG 77 ignored");
         assert_eq!(inp.ugs[0].latency_via(PeeringId(0)), Some(28.0));
         assert_eq!(inp.ugs[1].latency_via(PeeringId(0)), Some(61.0));
     }
@@ -344,8 +290,9 @@ mod tests {
         let d = Delta::from(MeasurementDelta::DemandShift { ug: UgId(1), weight: 7.5 });
         let applied = apply_to_inputs(&mut inp, &d, &idx, None);
         assert!(!applied.membership_changed);
-        assert_eq!(applied.dirty_ugs, vec![1]);
+        assert_eq!(applied.patches.len(), 1);
         assert_eq!(inp.ugs[1].weight, 7.5);
+        assert_eq!(inp.ugs[0].weight, 1.0);
     }
 
     #[test]

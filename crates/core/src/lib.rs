@@ -35,8 +35,8 @@
 //!   greedy's hot path reads (candidate CSR, incidence CSR, per-UG scalar
 //!   arrays), sized for millions of UGs.
 //! * [`incremental`] — typed world deltas ([`TopologyDelta`],
-//!   [`MeasurementDelta`]) and the dirty-set cache behind
-//!   [`Orchestrator::apply_delta`] /
+//!   [`MeasurementDelta`]) and the persistent, patched-in-place arena
+//!   behind [`Orchestrator::apply_delta`] /
 //!   [`Orchestrator::compute_config_incremental`], bit-identical to a
 //!   from-scratch recompute.
 //! * [`guard`] — the closed-loop containment layer: measurement

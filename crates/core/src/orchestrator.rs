@@ -27,10 +27,7 @@
 
 use crate::arena::BenefitArena;
 use crate::benefit::{BenefitRange, ConfigEvaluator};
-use crate::incremental::{
-    self, ArenaPatch, Delta, Fingerprint, IncrementalState, MeasurementDelta, TopologyDelta,
-    WarmGreedy,
-};
+use crate::incremental::{self, ArenaPatch, Delta, IncrementalState};
 use crate::inputs::OrchestratorInputs;
 use crate::model::RoutingModel;
 use crate::parallel;
@@ -61,12 +58,6 @@ pub struct OrchestratorConfig {
     /// cores. The computed configuration is bit-identical at every
     /// setting; this only changes how fast it arrives.
     pub threads: Option<usize>,
-    /// How many stale lazy-greedy candidates are speculatively rescored
-    /// together (in parallel) when one reaches the top of the queue. Pure
-    /// prefetch: the scores land in a cache the serial pop order consumes,
-    /// so the output is identical for *every* batch size and thread
-    /// count — only wall-clock time changes.
-    pub batch_recompute: usize,
 }
 
 impl Default for OrchestratorConfig {
@@ -78,7 +69,6 @@ impl Default for OrchestratorConfig {
             min_marginal_benefit: 1e-9,
             convergence_threshold: 0.01,
             threads: None,
-            batch_recompute: 16,
         }
     }
 }
@@ -232,10 +222,10 @@ pub struct Orchestrator {
     /// construction (see [`crate::parallel`] for the resolution order and
     /// the determinism contract).
     pub pool: rayon::ThreadPool,
-    /// Incremental-mode cache (arena + previous greedy run + dirty sets),
-    /// built lazily by [`Orchestrator::apply_delta`] /
-    /// [`Orchestrator::compute_config_incremental`]. Mutating `config`,
-    /// `model`, or `inputs` directly bypasses it — call
+    /// Incremental-mode state (the persistent arena), built lazily by
+    /// [`Orchestrator::apply_delta`] /
+    /// [`Orchestrator::compute_config_incremental`]. Editing `inputs`
+    /// directly bypasses it — call
     /// [`Orchestrator::invalidate_incremental`] afterwards.
     incr: Option<IncrementalState>,
 }
@@ -274,33 +264,21 @@ impl Orchestrator {
     /// top of the priority queue, which keeps the allocator fast even with
     /// thousands of ingresses.
     pub fn compute_config_traced(&self) -> (AdvertConfig, GreedyTrace) {
-        let arena = BenefitArena::from_inputs(&self.inputs);
-        let (cc, trace, _warm) = self.greedy_arena(&arena, None);
-        (cc, trace)
+        self.greedy_arena(&BenefitArena::from_inputs(&self.inputs))
     }
 
-    /// The greedy allocator over the SoA [`BenefitArena`].
-    ///
-    /// `warm` (incremental mode) is the previous run's per-prefix fill
-    /// scores plus the dirty-peering mask: at each prefix's initial fill,
-    /// clean peerings replay their stored score and only dirty ones are
-    /// rescored — sharded by PoP so one `D_reuse` region stays on one
-    /// worker. A stored score is valid only while this run's commit
-    /// sequence still matches the previous run's (a clean peering's fill
-    /// score is a function of its own unchanged UG rows and of the
-    /// commits so far); the first mismatch flips `diverged` and every
-    /// later prefix falls back to a cold fill. The lazy pops, rescores,
-    /// and post-commit refreshes always run live, so the result is
-    /// bit-identical to a cold run by construction — and enforced by the
-    /// `incremental_equivalence` proptests.
-    fn greedy_arena(
-        &self,
-        arena: &BenefitArena,
-        warm: Option<(&WarmGreedy, &[bool])>,
-    ) -> (AdvertConfig, GreedyTrace, WarmGreedy) {
+    /// The greedy allocator over the SoA [`BenefitArena`]: one cold
+    /// lazy-greedy pass, no state carried between calls.
+    fn greedy_arena(&self, arena: &BenefitArena) -> (AdvertConfig, GreedyTrace) {
         let _span = painter_obs::Span::enter(&self.obs, "core.greedy_compute_ms");
         let delta_hist = self.obs.histogram("core.greedy_benefit_delta");
-        obs_gauge!(self.obs, "core.greedy_threads", self.pool.current_num_threads() as f64);
+        // Speculation width of the rescore prefetch below: one candidate
+        // per pool worker. A speculative score is thrown away at the next
+        // commit, so it is only worth computing on a worker that would
+        // otherwise idle; on a one-thread pool the loop is the plain
+        // one-at-a-time lazy greedy.
+        let width = self.pool.current_num_threads();
+        obs_gauge!(self.obs, "core.greedy_threads", width as f64);
         let n_pe = arena.n_peerings();
         let pb = self.config.prefix_budget;
         // Cached per-(UG, prefix) mean expectation, flat row-major.
@@ -312,8 +290,6 @@ impl Orchestrator {
         let mut running_benefit = 0.0;
         let mut cc = AdvertConfig::new();
         let mut trace = GreedyTrace::default();
-        let mut new_warm = WarmGreedy { fill: Vec::new(), commits: Vec::new() };
-        let mut diverged = false;
 
         for p_idx in 0..pb {
             let prefix = PrefixId(p_idx as u16);
@@ -324,77 +300,31 @@ impl Orchestrator {
             // at the top.
             let mut version = 0u64;
             // Initial fill: one score per peering slot (NaN = empty
-            // incidence, never scored). Cold: every slot in parallel
-            // (pure reads of `self` and the caches). Warm: replay the
-            // previous run's scores, rescoring only dirty peerings. The
-            // heap's (delta, peering id) order is total either way, so
-            // the pop sequence doesn't depend on which worker scored
-            // what.
-            let scores: Vec<f64> = match warm {
-                Some((wg, dirty_pe)) if !diverged && p_idx < wg.fill.len() => {
-                    let mut scores = wg.fill[p_idx].clone();
-                    let dirty: Vec<u32> =
-                        (0..n_pe).filter(|&pe| dirty_pe[pe]).map(|pe| pe as u32).collect();
-                    let shards = arena.shard_by_pop(&dirty);
-                    obs_count!(self.obs, "core.incr_fill_reused", (n_pe - dirty.len()) as u64);
-                    obs_count!(self.obs, "core.parallel_tasks", dirty.len() as u64);
-                    let rescored: Vec<Vec<(u32, f64)>> = {
-                        let prefix_mean = &prefix_mean;
-                        self.pool.install(|| {
-                            shards
-                                .par_iter()
-                                .map(|shard| {
-                                    shard
-                                        .iter()
-                                        .map(|&pe| {
-                                            let score = if arena.ugs_of(pe as usize).is_empty() {
-                                                f64::NAN
-                                            } else {
-                                                self.candidate_delta_arena(
-                                                    arena,
-                                                    PeeringId(pe),
-                                                    &[],
-                                                    p_idx,
-                                                    pb,
-                                                    prefix_mean,
-                                                )
-                                            };
-                                            (pe, score)
-                                        })
-                                        .collect()
-                                })
-                                .collect()
+            // incidence, never scored), every slot in parallel (pure
+            // reads of `self` and the caches). The heap's (delta, peering
+            // id) order is total, so the pop sequence doesn't depend on
+            // which worker scored what.
+            obs_count!(self.obs, "core.parallel_tasks", n_pe as u64);
+            let scores: Vec<f64> = {
+                let prefix_mean = &prefix_mean;
+                self.pool.install(|| {
+                    (0..n_pe)
+                        .into_par_iter()
+                        .map(|pe_idx| {
+                            if arena.ugs_of(pe_idx).is_empty() {
+                                return f64::NAN;
+                            }
+                            self.candidate_delta_arena(
+                                arena,
+                                PeeringId(pe_idx as u32),
+                                &[],
+                                p_idx,
+                                pb,
+                                prefix_mean,
+                            )
                         })
-                    };
-                    // Scatter by slot index: write order is irrelevant to
-                    // the result, each slot is written once.
-                    for (pe, score) in rescored.into_iter().flatten() {
-                        scores[pe as usize] = score;
-                    }
-                    scores
-                }
-                _ => {
-                    obs_count!(self.obs, "core.parallel_tasks", n_pe as u64);
-                    let prefix_mean = &prefix_mean;
-                    self.pool.install(|| {
-                        (0..n_pe)
-                            .into_par_iter()
-                            .map(|pe_idx| {
-                                if arena.ugs_of(pe_idx).is_empty() {
-                                    return f64::NAN;
-                                }
-                                self.candidate_delta_arena(
-                                    arena,
-                                    PeeringId(pe_idx as u32),
-                                    &[],
-                                    p_idx,
-                                    pb,
-                                    prefix_mean,
-                                )
-                            })
-                            .collect()
-                    })
-                }
+                        .collect()
+                })
             };
             // NaN fails the benefit threshold, so unscored slots stay out
             // of the heap without a separate check.
@@ -402,20 +332,15 @@ impl Orchestrator {
                 .filter(|&pe| scores[pe] > self.config.min_marginal_benefit)
                 .map(|pe| CandEntry { delta: scores[pe], version, pe: PeeringId(pe as u32) })
                 .collect();
-            new_warm.fill.push(scores);
-            new_warm.commits.push(Vec::new());
-            let batch = self.config.batch_recompute.max(1);
-            // Speculative rescore cache: between two commits, `current` and
-            // `prefix_mean` are frozen, so any rescore the serial algorithm
-            // would perform in that window can be precomputed. Stale-top
-            // batches fill this cache in parallel; the lazy loop consumes
-            // it in its ordinary pop order, so the committed sequence is
-            // exactly the one-at-a-time algorithm's. Invalidated (cleared)
-            // on every commit.
+            // Speculative rescore cache: between two commits, the prefix's
+            // peering set and `prefix_mean` are frozen, so any rescore the
+            // serial algorithm would perform in that window can be
+            // precomputed. Stale-top batches fill this cache in parallel;
+            // the lazy loop consumes it in its ordinary pop order, so the
+            // committed sequence is exactly the one-at-a-time algorithm's.
+            // Invalidated (cleared) on every commit.
             let mut rescore_cache: HashMap<PeeringId, f64> = HashMap::new();
-            loop {
-                let current: Vec<PeeringId> = cc.peerings_of(prefix).to_vec();
-                let Some(top) = heap.pop() else { break };
+            while let Some(top) = heap.pop() {
                 if top.version != version {
                     if let Some(&delta) = rescore_cache.get(&top.pe) {
                         // Prefetched earlier in this commit window.
@@ -427,11 +352,11 @@ impl Orchestrator {
                     // Pop ahead: the next stale entries (by cached value)
                     // are exactly the candidates the serial loop would
                     // rescore next if no commit intervenes, so score up to
-                    // `batch` of them together. All but the top go straight
+                    // `width` of them together. All but the top go straight
                     // back with their cached values — only the cache
                     // remembers the speculative scores.
                     let mut extra: Vec<CandEntry> = Vec::new();
-                    while extra.len() + 1 < batch {
+                    while extra.len() + 1 < width {
                         match heap.peek() {
                             Some(e)
                                 if e.version != version && !rescore_cache.contains_key(&e.pe) =>
@@ -446,7 +371,9 @@ impl Orchestrator {
                     obs_count!(self.obs, "core.greedy_batch_recompute", 1);
                     obs_count!(self.obs, "core.parallel_tasks", to_score.len() as u64);
                     let rescored: Vec<(PeeringId, f64)> = {
-                        let (prefix_mean, current) = (&prefix_mean, &current);
+                        // The prefix's set changes only at a commit, so
+                        // `cc`'s own row is the one copy of it.
+                        let (prefix_mean, current) = (&prefix_mean, cc.peerings_of(prefix));
                         self.pool.install(|| {
                             to_score
                                 .par_iter()
@@ -484,50 +411,26 @@ impl Orchestrator {
                 added_any = true;
                 running_benefit += delta;
                 delta_hist.record(delta);
-                // Warm replay stays valid only while this run's commit
-                // sequence matches the previous run's.
-                let commits = new_warm.commits.last_mut().expect("row pushed at fill");
-                if let Some((wg, _)) = warm {
-                    if !diverged
-                        && wg.commits.get(p_idx).and_then(|c| c.get(commits.len())) != Some(&pe)
-                    {
-                        diverged = true;
-                    }
-                }
-                commits.push(pe);
                 // Refresh caches for affected UGs: gather the affected
                 // index set serially (union of the committed peerings'
                 // incidence rows, ascending UG index), score the
                 // expectations in parallel, write back serially.
-                let new_current: Vec<PeeringId> = cc.peerings_of(prefix).to_vec();
+                let current = cc.peerings_of(prefix);
                 let mut affected: Vec<u32> = Vec::new();
-                for p in &new_current {
+                for p in current {
                     affected.extend_from_slice(arena.ugs_of(p.idx()));
                 }
                 affected.sort_unstable();
                 affected.dedup();
                 obs_count!(self.obs, "core.parallel_tasks", affected.len() as u64);
-                let means: Vec<f64> = {
-                    let new_current = &new_current;
-                    self.pool.install(|| {
-                        affected
-                            .par_iter()
-                            .map(|&u| arena.mean_latency(&self.model, u as usize, new_current))
-                            .collect()
-                    })
-                };
+                let means: Vec<f64> = self.pool.install(|| {
+                    affected
+                        .par_iter()
+                        .map(|&u| arena.mean_latency(&self.model, u as usize, current))
+                        .collect()
+                });
                 for (&u, mean) in affected.iter().zip(means) {
                     prefix_mean[u as usize * pb + p_idx] = mean;
-                }
-            }
-            // The previous run committing *more* pairs in this prefix than
-            // we just did also changes every later prefix's base state.
-            if let Some((wg, _)) = warm {
-                if !diverged
-                    && wg.commits.get(p_idx).map(|c| c.len())
-                        != new_warm.commits.last().map(|c| c.len())
-                {
-                    diverged = true;
                 }
             }
             if !added_any {
@@ -550,23 +453,23 @@ impl Orchestrator {
                 trace.after_each_prefix.len() as f64 / pb as f64
             );
         }
-        (cc, trace, new_warm)
+        (cc, trace)
     }
 
-    /// Applies one world delta through the incremental cache: the inputs
-    /// are edited, the arena is patched in place (or flagged for rebuild
-    /// when candidate-set membership changed), and the touched UGs and
-    /// peerings join the dirty set the next
-    /// [`Orchestrator::compute_config_incremental`] will rescore.
+    /// Applies one world delta in incremental mode: the inputs are edited
+    /// and the persistent arena is patched in place (or flagged for a CSR
+    /// rebuild when candidate-set membership changed), so the next
+    /// [`Orchestrator::compute_config_incremental`] plans the new world
+    /// without repacking it.
     ///
-    /// Accepts [`TopologyDelta`], [`MeasurementDelta`], or [`Delta`]
+    /// Accepts [`TopologyDelta`](crate::TopologyDelta),
+    /// [`MeasurementDelta`](crate::MeasurementDelta), or [`Delta`]
     /// directly. Deltas naming unknown UGs are ignored;
-    /// [`TopologyDelta::AddPeering`] panics if the peering slot is outside
+    /// `TopologyDelta::AddPeering` panics if the peering slot is outside
     /// the deployment (`peering_count` is the world's fixed width).
     pub fn apply_delta(&mut self, delta: impl Into<Delta>) {
         let delta: Delta = delta.into();
-        self.ensure_incremental_state();
-        let mut state = self.incr.take().expect("just ensured");
+        let state = Self::ensure_incremental_state(&mut self.incr, &self.inputs);
         let arena_fresh = !state.membership_changed;
         let applied = incremental::apply_to_inputs(
             &mut self.inputs,
@@ -574,20 +477,6 @@ impl Orchestrator {
             &state.index_of,
             arena_fresh.then_some(&state.arena),
         );
-        // The delta's own peering is dirtied explicitly: after a removal
-        // the rebuilt incidence no longer links it to the touched UGs, so
-        // row-walking the dirty UGs alone would miss it.
-        match &delta {
-            Delta::Topology(TopologyDelta::AddPeering { peering, .. })
-            | Delta::Topology(TopologyDelta::RemovePeering { peering })
-            | Delta::Measurement(MeasurementDelta::RttShift { peering, .. }) => {
-                state.dirty_pe.insert(peering.idx() as u32);
-            }
-            Delta::Measurement(MeasurementDelta::DemandShift { .. }) => {}
-        }
-        for &u in &applied.dirty_ugs {
-            state.dirty_ug[u] = true;
-        }
         if applied.membership_changed {
             state.membership_changed = true;
         } else if arena_fresh {
@@ -600,98 +489,49 @@ impl Orchestrator {
                 }
             }
         }
-        self.incr = Some(state);
     }
 
-    /// Like [`Orchestrator::compute_config_traced`], but through the
-    /// incremental cache: peerings whose benefit inputs did not change
-    /// since the last run replay their cached fill scores instead of
-    /// being rescored (see [`crate::incremental`] for the invalidation
-    /// rules). **Bit-identical to a from-scratch recompute** at every
-    /// scale and thread count; only wall-clock time differs.
+    /// Like [`Orchestrator::compute_config_traced`], but over the
+    /// persistent arena [`Orchestrator::apply_delta`] keeps patched
+    /// instead of one repacked from `inputs` (see [`crate::incremental`]).
+    /// **Bit-identical to a from-scratch recompute** at every scale and
+    /// thread count.
     pub fn compute_config_incremental(&mut self) -> (AdvertConfig, GreedyTrace) {
-        self.ensure_incremental_state();
-        let mut state = self.incr.take().expect("just ensured");
+        let state = Self::ensure_incremental_state(&mut self.incr, &self.inputs);
         if state.membership_changed {
             // Candidate-set membership changed: rebuild the CSR from the
             // already-edited inputs (linear scan, no scoring).
             state.arena = BenefitArena::from_inputs(&self.inputs);
             state.membership_changed = false;
         }
-        let fp = self.fingerprint();
-        if state.fingerprint != fp {
-            // Config/model/world drifted outside apply_delta: cached fill
-            // scores are meaningless. Fall back to a cold run (still
-            // through the arena) and re-pin the fingerprint.
-            state.warm = None;
-            state.fingerprint = fp;
-        }
-        // Dirty peerings = explicitly dirtied slots ∪ every peering still
-        // appearing in a dirty UG's candidate row.
-        let n_pe = state.arena.n_peerings();
-        let mut dirty_pe = vec![false; n_pe];
-        for &pe in &state.dirty_pe {
-            dirty_pe[pe as usize] = true;
-        }
-        let mut dirty_ugs = 0u64;
-        for (u, dirty) in state.dirty_ug.iter().enumerate() {
-            if !dirty {
-                continue;
-            }
-            dirty_ugs += 1;
-            let (pes, _) = state.arena.candidates_of(u);
-            for &pe in pes {
-                dirty_pe[pe as usize] = true;
-            }
-        }
-        obs_gauge!(self.obs, "core.incr_dirty_ugs", dirty_ugs as f64);
-        obs_gauge!(
-            self.obs,
-            "core.incr_dirty_peerings",
-            dirty_pe.iter().filter(|&&d| d).count() as f64
-        );
-        obs_gauge!(self.obs, "core.incr_warm", state.warm.is_some() as u8 as f64);
-        let warm = state.warm.as_ref().map(|w| (w, dirty_pe.as_slice()));
-        let (cc, trace, new_warm) = self.greedy_arena(&state.arena, warm);
-        state.warm = Some(new_warm);
-        state.dirty_ug.iter_mut().for_each(|d| *d = false);
-        state.dirty_pe.clear();
-        self.incr = Some(state);
-        (cc, trace)
+        let state = self.incr.as_ref().expect("just ensured");
+        self.greedy_arena(&state.arena)
     }
 
-    /// Drops the incremental cache (arena, warm fill scores, dirty sets).
-    /// Required after mutating `config`, `model`, or `inputs` through the
-    /// public fields; the next incremental call rebuilds from scratch.
+    /// Drops the persistent arena. Required after editing `inputs` through
+    /// the public field; the next incremental call repacks from scratch.
     pub fn invalidate_incremental(&mut self) {
         self.incr = None;
     }
 
-    fn ensure_incremental_state(&mut self) {
-        if self.incr.is_none() {
-            let n_ugs = self.inputs.ugs.len();
-            self.incr = Some(IncrementalState {
-                arena: BenefitArena::from_inputs(&self.inputs),
-                index_of: self.inputs.index_of(),
-                warm: None,
-                fingerprint: self.fingerprint(),
-                dirty_ug: vec![false; n_ugs],
-                dirty_pe: HashSet::new(),
-                membership_changed: false,
-            });
+    /// The incremental state, (re)built when absent or when `inputs` was
+    /// resized behind its back — a stale arena would silently plan the
+    /// old world. Same-size out-of-band edits still need
+    /// [`Orchestrator::invalidate_incremental`].
+    fn ensure_incremental_state<'a>(
+        incr: &'a mut Option<IncrementalState>,
+        inputs: &OrchestratorInputs,
+    ) -> &'a mut IncrementalState {
+        if incr.as_ref().is_some_and(|s| {
+            s.arena.n_ugs() != inputs.ugs.len() || s.arena.n_peerings() != inputs.peering_count
+        }) {
+            *incr = None;
         }
-    }
-
-    fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            prefix_budget: self.config.prefix_budget,
-            d_reuse_bits: self.model.d_reuse_km.to_bits(),
-            min_marginal_bits: self.config.min_marginal_benefit.to_bits(),
-            dominance: self.model.dominance_count(),
-            unreachable: self.model.unreachable_count(),
-            n_ugs: self.inputs.ugs.len(),
-            n_peerings: self.inputs.peering_count,
-        }
+        incr.get_or_insert_with(|| IncrementalState {
+            arena: BenefitArena::from_inputs(inputs),
+            index_of: inputs.index_of(),
+            membership_changed: false,
+        })
     }
 
     /// Incremental reconfiguration (§5.1.3): refines a *deployed*
@@ -737,7 +577,7 @@ impl Orchestrator {
             .iter()
             .flat_map(|(p, pes)| pes.iter().map(move |&pe| (p, pe)).collect::<Vec<_>>())
             .collect();
-        let batch = self.config.batch_recompute.max(1);
+        let batch = self.pool.current_num_threads();
         let mut i = 0;
         while i < pairs.len() {
             let end = (i + batch).min(pairs.len());
@@ -1134,6 +974,7 @@ impl Orchestrator {
 mod tests {
     use super::*;
     use crate::compliance::infer_compliant_ingresses;
+    use crate::incremental::{MeasurementDelta, TopologyDelta};
     use painter_measure::{build_user_groups, UserGroup};
     use painter_topology::{CustomerCones, Deployment, DeploymentConfig, TopologyConfig};
 
@@ -1507,19 +1348,15 @@ mod tests {
             inputs,
             OrchestratorConfig { prefix_budget: 4, ..Default::default() },
         );
-        // Cold incremental run agrees with the stateless path.
+        // The first incremental run agrees with the stateless path.
         let (first, first_trace) = orch.compute_config_incremental();
         let (scratch, scratch_trace) = orch.compute_config_traced();
         assert_eq!(first, scratch);
         assert_eq!(first_trace, scratch_trace);
-        // A no-delta warm run replays every fill score and still agrees.
-        let (warm, warm_trace) = orch.compute_config_incremental();
-        assert_eq!(warm, first);
-        assert_eq!(warm_trace, first_trace);
-        if painter_obs::enabled() {
-            let reused = orch.obs.snapshot().counter("core.incr_fill_reused").unwrap_or(0);
-            assert!(reused > 0, "no-delta warm run should replay cached fill scores");
-        }
+        // A second run over the kept arena, no deltas between, still agrees.
+        let (again, again_trace) = orch.compute_config_incremental();
+        assert_eq!(again, first);
+        assert_eq!(again_trace, first_trace);
         // Mixed delta stream: RTT shift, peering removal, demand change.
         let ug = orch.inputs.ugs[0].id;
         let pe = orch.inputs.ugs[0].candidates[0].0;
@@ -1531,6 +1368,43 @@ mod tests {
         let fresh = Orchestrator::new(orch.inputs.clone(), orch.config.clone());
         let (scr, scr_trace) = fresh.compute_config_traced();
         assert_eq!(inc, scr, "incremental diverged from from-scratch recompute");
+        assert_eq!(inc_trace, scr_trace);
+    }
+
+    #[test]
+    fn out_of_band_resize_rebuilds_the_arena() {
+        let f = fix(114);
+        let mut gt = GroundTruth::compute(&f.net.graph, &f.dep, &f.ugs, 9);
+        let inputs = inputs_from(&f, &mut gt);
+        let mut orch = Orchestrator::new(
+            inputs,
+            OrchestratorConfig { prefix_budget: 4, ..Default::default() },
+        );
+        let (before, _) = orch.compute_config_incremental();
+        // Append a UG behind the arena's back — no `invalidate_incremental`.
+        // Its weight dwarfs the world's and it gains only through the
+        // peering the first plan ranked last, so the plan must move.
+        let unused = (0..orch.inputs.peering_count as u32)
+            .map(PeeringId)
+            .rev()
+            .find(|&pe| before.iter().all(|(_, pes)| !pes.contains(&pe)))
+            .expect("fixture leaves a peering unadvertised");
+        let heavy = 1e3 * orch.inputs.ugs.iter().map(|u| u.weight).sum::<f64>();
+        let id = UgId(orch.inputs.ugs.iter().map(|u| u.id.0).max().unwrap() + 1);
+        orch.inputs.ugs.push(crate::inputs::UgView {
+            id,
+            metro: orch.inputs.ugs[0].metro,
+            weight: heavy,
+            anycast_ms: 200.0,
+            candidates: vec![(unused, 10.0)],
+        });
+        let row = orch.inputs.ug_pop_km[0].clone();
+        orch.inputs.ug_pop_km.push(row);
+        let (inc, inc_trace) = orch.compute_config_incremental();
+        let fresh = Orchestrator::new(orch.inputs.clone(), orch.config.clone());
+        let (scr, scr_trace) = fresh.compute_config_traced();
+        assert_ne!(scr, before, "fixture: the appended UG must change the plan");
+        assert_eq!(inc, scr, "incremental planned a stale arena after a resize");
         assert_eq!(inc_trace, scr_trace);
     }
 

@@ -2,9 +2,9 @@
 //! and recomputing incrementally yields results **bit-identical** to a
 //! from-scratch recompute on the mutated inputs — after every single
 //! delta, at every swept thread count. This is the hard equivalence
-//! contract behind the million-UG scale path: the dirty-set rescoring,
-//! warm fill-score reuse, and arena patching must be invisible in the
-//! output.
+//! contract behind the million-UG scale path: the persistent arena with
+//! its in-place patches and flagged CSR rebuilds must be invisible in
+//! the output.
 //!
 //! Worlds and delta streams are derived from the proptest-drawn seed by
 //! plain FNV-fed code (the repo's seed-derived idiom), so cases are
@@ -42,7 +42,7 @@ fn h64(parts: &[u64]) -> u64 {
 /// A random hand-built world: 2–15 UGs, 2–7 dense peerings over 1–3
 /// PoPs, per-UG candidate subsets with hashed believed latencies. Some
 /// UGs get anycast below their best candidate (zero benefit) and some
-/// get empty candidate sets — both must flow through the cache unharmed.
+/// get empty candidate sets — both must flow through the arena unharmed.
 fn world(seed: u64) -> OrchestratorInputs {
     let n_ugs = 2 + (h64(&[seed, 1]) % 14) as usize;
     let n_peerings = 2 + (h64(&[seed, 2]) % 6) as usize;
@@ -124,6 +124,27 @@ fn deltas(seed: u64, n_ugs: usize, n_peerings: usize, len: usize) -> Vec<Delta> 
         .collect()
 }
 
+/// A stream that never changes candidate-set membership: `RttShift` on
+/// existing candidacies and `DemandShift` only, so every delta takes the
+/// in-place `ArenaPatch` path and the CSR is never rebuilt.
+fn pure_shifts(seed: u64, inputs: &OrchestratorInputs, len: usize) -> Vec<Delta> {
+    let with_cands: Vec<&UgView> = inputs.ugs.iter().filter(|u| !u.candidates.is_empty()).collect();
+    (0..len)
+        .map(|k| {
+            let h = h64(&[seed, 13, k as u64]);
+            let value = ((h >> 16) % 990) as f64 / 10.0;
+            if h & 1 == 0 && !with_cands.is_empty() {
+                let ug = with_cands[((h >> 8) % with_cands.len() as u64) as usize];
+                let (peering, _) = ug.candidates[((h >> 40) % ug.candidates.len() as u64) as usize];
+                MeasurementDelta::RttShift { ug: ug.id, peering, ms: 5.0 + value }.into()
+            } else {
+                let ug = inputs.ugs[((h >> 8) % inputs.ugs.len() as u64) as usize].id;
+                MeasurementDelta::DemandShift { ug, weight: 0.1 + value / 10.0 }.into()
+            }
+        })
+        .collect()
+}
+
 fn config_for(seed: u64, threads: usize) -> OrchestratorConfig {
     OrchestratorConfig {
         prefix_budget: 2 + (h64(&[seed, 11]) % 3) as usize,
@@ -137,60 +158,91 @@ fn trace_bits(t: &GreedyTrace) -> Vec<(usize, u64)> {
     t.after_each_prefix.iter().map(|&(k, b)| (k, b.to_bits())).collect()
 }
 
+/// Applies `stream` one delta at a time and checks, after EVERY delta,
+/// that the incremental result is bit-identical to a from-scratch
+/// recompute, at every thread count, and that all thread counts agree
+/// with each other.
+fn check_every_delta(
+    seed: u64,
+    inputs: &OrchestratorInputs,
+    stream: &[Delta],
+) -> Result<(), TestCaseError> {
+    let mut final_configs = Vec::new();
+    for &threads in &THREADS {
+        let config = config_for(seed, threads);
+        let mut orch = Orchestrator::new(inputs.clone(), config.clone());
+
+        // First incremental compute == plain traced compute.
+        let (cold_incr, cold_trace_incr) = orch.compute_config_incremental();
+        let (cold_ref, cold_trace_ref) = orch.compute_config_traced();
+        prop_assert_eq!(&cold_incr, &cold_ref, "seed {}: cold diverged (t={})", seed, threads);
+        prop_assert_eq!(
+            trace_bits(&cold_trace_incr),
+            trace_bits(&cold_trace_ref),
+            "seed {}: cold trace diverged (t={})",
+            seed,
+            threads
+        );
+
+        let mut last = cold_incr;
+        for (step, delta) in stream.iter().enumerate() {
+            orch.apply_delta(delta.clone());
+            let (incr, incr_trace) = orch.compute_config_incremental();
+            let scratch = Orchestrator::new(orch.inputs.clone(), config.clone());
+            let (scratch_cfg, scratch_trace) = scratch.compute_config_traced();
+            prop_assert_eq!(
+                &incr,
+                &scratch_cfg,
+                "seed {} step {} (t={}): incremental != scratch after {:?}",
+                seed,
+                step,
+                threads,
+                delta
+            );
+            prop_assert_eq!(
+                trace_bits(&incr_trace),
+                trace_bits(&scratch_trace),
+                "seed {} step {} (t={}): trace diverged after {:?}",
+                seed,
+                step,
+                threads,
+                delta
+            );
+            last = incr;
+        }
+        final_configs.push(last);
+    }
+    for pair in final_configs.windows(2) {
+        prop_assert_eq!(&pair[0], &pair[1], "seed {}: thread counts disagree", seed);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// The core contract: after EVERY delta, the incremental result is
-    /// bit-identical to a from-scratch recompute, at every thread count,
-    /// and all thread counts agree with each other.
+    /// The core contract, over streams that mix in-place patches with
+    /// membership changes (adds, removes, discovered candidacies).
     #[test]
     fn incremental_equals_scratch_after_every_delta(seed in 0u64..100_000) {
         let inputs = world(seed);
         let stream = deltas(seed, inputs.ugs.len(), inputs.peering_count, 6);
-        let mut final_configs = Vec::new();
-        for &threads in &THREADS {
-            let config = config_for(seed, threads);
-            let mut orch = Orchestrator::new(inputs.clone(), config.clone());
+        check_every_delta(seed, &inputs, &stream)?;
+    }
 
-            // Cold incremental == plain traced compute.
-            let (cold_incr, cold_trace_incr) = orch.compute_config_incremental();
-            let (cold_ref, cold_trace_ref) = orch.compute_config_traced();
-            prop_assert_eq!(&cold_incr, &cold_ref, "seed {}: cold diverged (t={})", seed, threads);
-            prop_assert_eq!(
-                trace_bits(&cold_trace_incr),
-                trace_bits(&cold_trace_ref),
-                "seed {}: cold trace diverged (t={})", seed, threads
-            );
-
-            let mut last = cold_incr;
-            for (step, delta) in stream.iter().enumerate() {
-                orch.apply_delta(delta.clone());
-                let (incr, incr_trace) = orch.compute_config_incremental();
-                let scratch = Orchestrator::new(orch.inputs.clone(), config.clone());
-                let (scratch_cfg, scratch_trace) = scratch.compute_config_traced();
-                prop_assert_eq!(
-                    &incr, &scratch_cfg,
-                    "seed {} step {} (t={}): incremental != scratch after {:?}",
-                    seed, step, threads, delta
-                );
-                prop_assert_eq!(
-                    trace_bits(&incr_trace),
-                    trace_bits(&scratch_trace),
-                    "seed {} step {} (t={}): trace diverged after {:?}",
-                    seed, step, threads, delta
-                );
-                last = incr;
-            }
-            final_configs.push(last);
-        }
-        for pair in final_configs.windows(2) {
-            prop_assert_eq!(&pair[0], &pair[1], "seed {}: thread counts disagree", seed);
-        }
+    /// The same contract over a stream of pure shifts, which never
+    /// rebuilds the CSR: the arena built by the first compute is patched
+    /// in place for the whole stream.
+    #[test]
+    fn pure_shift_stream_equals_scratch(seed in 0u64..100_000) {
+        let inputs = world(seed);
+        let stream = pure_shifts(seed, &inputs, 8);
+        check_every_delta(seed, &inputs, &stream)?;
     }
 
     /// Deltas applied in bulk without recomputing in between must agree
-    /// with scratch too — the dirty sets accumulate correctly across an
-    /// arbitrarily long unobserved mutation window.
+    /// with scratch too — patches and the rebuild flag accumulate correctly
+    /// across an arbitrarily long unobserved mutation window.
     #[test]
     fn batched_deltas_equal_scratch(seed in 0u64..100_000) {
         let inputs = world(seed);
@@ -198,7 +250,7 @@ proptest! {
         for &threads in &THREADS {
             let config = config_for(seed, threads);
             let mut orch = Orchestrator::new(inputs.clone(), config.clone());
-            let _ = orch.compute_config_incremental(); // prime the warm cache
+            let _ = orch.compute_config_incremental(); // build the persistent arena
             for delta in &stream {
                 orch.apply_delta(delta.clone());
             }
@@ -217,20 +269,20 @@ proptest! {
         }
     }
 
-    /// A recompute with no intervening deltas is a pure warm replay and
-    /// must reproduce the previous result exactly.
+    /// A recompute with no intervening deltas runs over the same arena
+    /// and must reproduce the previous result exactly.
     #[test]
-    fn warm_replay_is_idempotent(seed in 0u64..100_000) {
+    fn recompute_without_deltas_is_idempotent(seed in 0u64..100_000) {
         let inputs = world(seed);
         for &threads in &THREADS {
             let mut orch = Orchestrator::new(inputs.clone(), config_for(seed, threads));
             let (first, first_trace) = orch.compute_config_incremental();
             let (again, again_trace) = orch.compute_config_incremental();
-            prop_assert_eq!(&first, &again, "seed {}: warm replay changed config", seed);
+            prop_assert_eq!(&first, &again, "seed {}: recompute changed config", seed);
             prop_assert_eq!(
                 trace_bits(&first_trace),
                 trace_bits(&again_trace),
-                "seed {}: warm replay changed trace", seed
+                "seed {}: recompute changed trace", seed
             );
         }
     }

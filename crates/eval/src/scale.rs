@@ -10,7 +10,8 @@
 //! 1. runs a cold full computation through the SoA benefit arena,
 //! 2. applies a deterministic delta stream (RTT shifts, demand shifts,
 //!    peering adds/removes) through [`Orchestrator::apply_delta`],
-//! 3. recomputes incrementally, and
+//! 3. recomputes over the persistent, patched-in-place arena
+//!    ([`Orchestrator::compute_config_incremental`]), and
 //! 4. recomputes from scratch on the mutated inputs — and **fails** the
 //!    run unless the incremental [`AdvertConfig`] and `GreedyTrace` are
 //!    identical to the scratch ones, and identical across every swept

@@ -58,9 +58,10 @@ fn orchestrator_pipeline_is_deterministic() {
 
 /// The full orchestrator→TM pipeline must produce byte-identical
 /// `RunReport` JSON at every `PAINTER_THREADS` setting. Only wall-clock
-/// spans and the thread-count gauge are stripped before comparing —
-/// those legitimately differ; everything else (configs, benefit floats,
-/// simulated-time TM metrics) must not.
+/// spans, the thread-count gauge and the two scoring-work counters are
+/// stripped before comparing — those legitimately differ; everything
+/// else (configs, benefit floats, pair counts, simulated-time TM metrics)
+/// must not.
 #[test]
 fn run_report_is_thread_count_invariant() {
     use painter::bgp::PrefixId;
@@ -110,7 +111,15 @@ fn run_report_is_thread_count_invariant() {
         snap.metrics.retain(|m| {
             !matches!(
                 m.name(),
-                "core.greedy_compute_ms" | "core.run_iter_ms" | "core.greedy_threads"
+                "core.greedy_compute_ms"
+                    | "core.run_iter_ms"
+                    | "core.greedy_threads"
+                    // The greedy's speculation width equals the pool size:
+                    // a wider pool prefetches more rescores per batch, so
+                    // these two work counters scale with the thread count.
+                    // The results they feed do not.
+                    | "core.parallel_tasks"
+                    | "core.greedy_batch_recompute"
             )
         });
         report.add_snapshot(snap);
