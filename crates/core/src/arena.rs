@@ -64,10 +64,33 @@ pub struct BenefitArena {
 impl BenefitArena {
     /// Packs `inputs` into flat tables. `O(candidacies + n_ugs × n_pops)`,
     /// no scoring.
+    ///
+    /// # Panics
+    ///
+    /// If the geometry is ragged — `ug_pop_km` not one row per UG, rows of
+    /// unequal length, `peering_pop` not one entry per peering or naming a
+    /// PoP outside the rows. The flat slab is indexed `u * n_pops + pop`,
+    /// so one short row would silently shift every later UG's distances.
     pub fn from_inputs(inputs: &OrchestratorInputs) -> Self {
         let n_ugs = inputs.ugs.len();
         let n_peerings = inputs.peering_count;
         let n_pops = inputs.ug_pop_km.first().map(|r| r.len()).unwrap_or(0);
+        assert_eq!(inputs.ug_pop_km.len(), n_ugs, "ug_pop_km must hold one distance row per UG");
+        assert_eq!(
+            inputs.peering_pop.len(),
+            n_peerings,
+            "peering_pop must hold one PoP per peering slot"
+        );
+        // An empty world has no rows to learn the PoP count from, and no
+        // distance is ever read in it.
+        if n_ugs > 0 {
+            for (pe, &pop) in inputs.peering_pop.iter().enumerate() {
+                assert!(
+                    pop < n_pops,
+                    "peering {pe} sits at PoP {pop}, but the distance rows cover {n_pops} PoPs"
+                );
+            }
+        }
         let total: usize = inputs.ugs.iter().map(|u| u.candidates.len()).sum();
         let mut cand_off = Vec::with_capacity(n_ugs + 1);
         let mut cand_pe = Vec::with_capacity(total);
@@ -98,8 +121,13 @@ impl BenefitArena {
             }
         }
         let mut ug_pop_km = Vec::with_capacity(n_ugs * n_pops);
-        for row in &inputs.ug_pop_km {
-            debug_assert_eq!(row.len(), n_pops);
+        for (u, row) in inputs.ug_pop_km.iter().enumerate() {
+            assert_eq!(
+                row.len(),
+                n_pops,
+                "UG index {u} ({:?}) has a ragged PoP-distance row",
+                inputs.ugs[u].id
+            );
             ug_pop_km.extend_from_slice(row);
         }
         BenefitArena {
@@ -155,9 +183,14 @@ impl BenefitArena {
         self.anycast_ms[u]
     }
 
+    /// True if `pe` is a candidate of UG `u`.
+    pub fn has_candidate(&self, u: usize, pe: PeeringId) -> bool {
+        self.candidates_of(u).0.binary_search(&pe.0).is_ok()
+    }
+
     /// Distance (km) from UG `u` to the PoP of peering `pe`.
     #[inline]
-    fn km_to_peering(&self, u: usize, pe: usize) -> f64 {
+    pub fn km_to_peering(&self, u: usize, pe: usize) -> f64 {
         self.ug_pop_km[u * self.n_pops + self.peering_pop[pe] as usize]
     }
 
@@ -303,6 +336,49 @@ mod tests {
         assert_eq!(arena.ugs_of(2), &[0, 1]);
         assert_eq!(arena.weight(2), 3.0);
         assert_eq!(arena.anycast_ms(1), 70.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "UG index 1 (UgId(1)) has a ragged PoP-distance row")]
+    fn short_distance_row_is_rejected() {
+        // In release this used to shift UG 2's distances one slot left.
+        let mut inp = inputs();
+        inp.ug_pop_km[1].pop();
+        BenefitArena::from_inputs(&inp);
+    }
+
+    #[test]
+    #[should_panic(expected = "one distance row per UG")]
+    fn missing_distance_row_is_rejected() {
+        let mut inp = inputs();
+        inp.ug_pop_km.pop();
+        BenefitArena::from_inputs(&inp);
+    }
+
+    #[test]
+    #[should_panic(expected = "one PoP per peering slot")]
+    fn missing_peering_pop_is_rejected() {
+        let mut inp = inputs();
+        inp.peering_pop.pop();
+        BenefitArena::from_inputs(&inp);
+    }
+
+    #[test]
+    #[should_panic(expected = "peering 2 sits at PoP 3, but the distance rows cover 3 PoPs")]
+    fn out_of_range_peering_pop_is_rejected() {
+        let mut inp = inputs();
+        inp.peering_pop[2] = 3;
+        BenefitArena::from_inputs(&inp);
+    }
+
+    #[test]
+    fn anchor_accessors_read_the_flat_tables() {
+        let arena = BenefitArena::from_inputs(&inputs());
+        assert_eq!(arena.km_to_peering(1, 0), 5000.0);
+        assert_eq!(arena.km_to_peering(0, 2), 400.0);
+        assert!(arena.has_candidate(0, PeeringId(2)));
+        assert!(!arena.has_candidate(0, PeeringId(1)));
+        assert!(!arena.has_candidate(2, PeeringId(0)));
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!
 //! Complexity matches the paper's description: quadratic in ingresses in
 //! the worst case, but fast in practice because each UG has paths via a
-//! small fraction of ingresses — the greedy only revisits UGs whose
-//! candidate sets intersect the prefix being grown.
+//! small fraction of ingresses — a rescore revisits the candidate
+//! peering's own UGs, plus those the prefix already serves whose
+//! `D_reuse` anchor the new PoP really moves past a candidate.
 //!
 //! # Parallel execution
 //!
@@ -36,7 +37,7 @@ use painter_measure::{GroundTruth, Pinger, UgId};
 use painter_obs::{obs_count, obs_gauge};
 use painter_topology::PeeringId;
 use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Hyperparameters of Algorithm 1.
 #[derive(Debug, Clone)]
@@ -209,6 +210,60 @@ impl Ord for CandEntry {
     }
 }
 
+/// Running state of one greedy pass: what the finished prefixes already
+/// give each UG, and — for the prefix being filled — its mean plus the
+/// aggregates that let a rescore skip every UG the new peering cannot move
+/// ([`Orchestrator::anchor_hits`]). Written only in the serial commit
+/// section; scoring tasks read it.
+struct GreedyState {
+    /// `anycast ∧ mean under every finished prefix` — the `min` a new
+    /// prefix has to beat. `min` over finite floats is exact, so folding
+    /// prefixes in as they close equals re-folding them per score.
+    closed_best: Vec<f64>,
+    /// Mean under the open prefix's committed set; `INFINITY` = unusable
+    /// (the identity of the `min` it feeds).
+    cur_mean: Vec<f64>,
+    /// km to the closest advertised PoP, the `D_reuse` anchor. Exact for
+    /// every UG the open prefix touches, meaningless elsewhere.
+    d_min: Vec<f64>,
+    /// km to the farthest advertised *candidate*; `-INFINITY` = untouched.
+    adv_max_km: Vec<f64>,
+    /// Lowest committed peering that has the UG as a candidate — the row
+    /// a walk over the committed rows first meets it in; `u32::MAX` =
+    /// untouched.
+    first_pe: Vec<u32>,
+    /// The touched UGs with `adv_max_km > d_reuse_km` — the only ones a
+    /// new anchor can evict a candidate from — in that walk's order
+    /// (committed peerings ascending, each row ascending, first visit).
+    anchor_sensitive: Vec<u32>,
+}
+
+impl GreedyState {
+    fn new(arena: &BenefitArena) -> Self {
+        let n = arena.n_ugs();
+        GreedyState {
+            closed_best: (0..n).map(|u| arena.anycast_ms(u)).collect(),
+            cur_mean: vec![f64::INFINITY; n],
+            d_min: vec![f64::INFINITY; n],
+            adv_max_km: vec![f64::NEG_INFINITY; n],
+            first_pe: vec![u32::MAX; n],
+            anchor_sensitive: Vec::new(),
+        }
+    }
+
+    /// Folds the finished prefix into `closed_best` and opens an empty one.
+    fn close_prefix(&mut self) {
+        for (best, mean) in self.closed_best.iter_mut().zip(&self.cur_mean) {
+            *best = best.min(*mean);
+        }
+        self.cur_mean.fill(f64::INFINITY);
+        self.d_min.fill(f64::INFINITY);
+        self.adv_max_km.fill(f64::NEG_INFINITY);
+        self.first_pe.fill(u32::MAX);
+        self.anchor_sensitive.clear();
+    }
+}
+
 /// The Advertisement Orchestrator.
 pub struct Orchestrator {
     pub config: OrchestratorConfig,
@@ -281,11 +336,7 @@ impl Orchestrator {
         obs_gauge!(self.obs, "core.greedy_threads", width as f64);
         let n_pe = arena.n_peerings();
         let pb = self.config.prefix_budget;
-        // Cached per-(UG, prefix) mean expectation, flat row-major.
-        // `INFINITY` is the old nested `None` ("prefix unusable for this
-        // UG"): it is the identity of every `min` it feeds, so the two
-        // encodings are bit-equivalent.
-        let mut prefix_mean: Vec<f64> = vec![f64::INFINITY; arena.n_ugs() * pb];
+        let mut st = GreedyState::new(arena);
         // Running modeled benefit: Σ w · (anycast − best)⁺.
         let mut running_benefit = 0.0;
         let mut cc = AdvertConfig::new();
@@ -305,27 +356,9 @@ impl Orchestrator {
             // id) order is total, so the pop sequence doesn't depend on
             // which worker scored what.
             obs_count!(self.obs, "core.parallel_tasks", n_pe as u64);
-            let scores: Vec<f64> = {
-                let prefix_mean = &prefix_mean;
-                self.pool.install(|| {
-                    (0..n_pe)
-                        .into_par_iter()
-                        .map(|pe_idx| {
-                            if arena.ugs_of(pe_idx).is_empty() {
-                                return f64::NAN;
-                            }
-                            self.candidate_delta_arena(
-                                arena,
-                                PeeringId(pe_idx as u32),
-                                &[],
-                                p_idx,
-                                pb,
-                                prefix_mean,
-                            )
-                        })
-                        .collect()
-                })
-            };
+            let scores: Vec<f64> = self.pool.install(|| {
+                (0..n_pe).into_par_iter().map(|pe| self.fill_score(arena, &st, pe)).collect()
+            });
             // NaN fails the benefit threshold, so unscored slots stay out
             // of the heap without a separate check.
             let mut heap: std::collections::BinaryHeap<CandEntry> = (0..n_pe)
@@ -333,7 +366,7 @@ impl Orchestrator {
                 .map(|pe| CandEntry { delta: scores[pe], version, pe: PeeringId(pe as u32) })
                 .collect();
             // Speculative rescore cache: between two commits, the prefix's
-            // peering set and `prefix_mean` are frozen, so any rescore the
+            // peering set and `st` are frozen, so any rescore the
             // serial algorithm would perform in that window can be
             // precomputed. Stale-top batches fill this cache in parallel;
             // the lazy loop consumes it in its ordinary pop order, so the
@@ -373,21 +406,11 @@ impl Orchestrator {
                     let rescored: Vec<(PeeringId, f64)> = {
                         // The prefix's set changes only at a commit, so
                         // `cc`'s own row is the one copy of it.
-                        let (prefix_mean, current) = (&prefix_mean, cc.peerings_of(prefix));
+                        let (st, current) = (&st, cc.peerings_of(prefix));
                         self.pool.install(|| {
                             to_score
                                 .par_iter()
-                                .map(|&pe| {
-                                    let delta = self.candidate_delta_arena(
-                                        arena,
-                                        pe,
-                                        current,
-                                        p_idx,
-                                        pb,
-                                        prefix_mean,
-                                    );
-                                    (pe, delta)
-                                })
+                                .map(|&pe| (pe, self.candidate_delta_arena(arena, pe, current, st)))
                                 .collect()
                         })
                     };
@@ -405,39 +428,18 @@ impl Orchestrator {
                 // scores were computed against the pre-commit set, so they
                 // die here.
                 rescore_cache.clear();
-                let (delta, pe) = (top.delta, top.pe);
-                cc.add(prefix, pe);
+                self.commit_arena(arena, &mut st, &mut cc, prefix, top.pe);
                 version += 1;
                 added_any = true;
-                running_benefit += delta;
-                delta_hist.record(delta);
-                // Refresh caches for affected UGs: gather the affected
-                // index set serially (union of the committed peerings'
-                // incidence rows, ascending UG index), score the
-                // expectations in parallel, write back serially.
-                let current = cc.peerings_of(prefix);
-                let mut affected: Vec<u32> = Vec::new();
-                for p in current {
-                    affected.extend_from_slice(arena.ugs_of(p.idx()));
-                }
-                affected.sort_unstable();
-                affected.dedup();
-                obs_count!(self.obs, "core.parallel_tasks", affected.len() as u64);
-                let means: Vec<f64> = self.pool.install(|| {
-                    affected
-                        .par_iter()
-                        .map(|&u| arena.mean_latency(&self.model, u as usize, current))
-                        .collect()
-                });
-                for (&u, mean) in affected.iter().zip(means) {
-                    prefix_mean[u as usize * pb + p_idx] = mean;
-                }
+                running_benefit += top.delta;
+                delta_hist.record(top.delta);
             }
             if !added_any {
                 // No peering adds benefit from a fresh prefix; later
                 // prefixes would see the identical state.
                 break;
             }
+            st.close_prefix();
             trace.after_each_prefix.push((p_idx + 1, running_benefit));
         }
         // Gauges mirror this greedy run (bit-identical to the trace, see
@@ -634,85 +636,150 @@ impl Orchestrator {
         (refined, ops)
     }
 
-    /// Marginal modeled benefit of adding `pe` to prefix `p_idx`'s set,
-    /// reading the SoA arena.
+    /// Commits `pe` to `prefix`: refreshes `st.cur_mean` for the UGs the
+    /// commit can move — `pe`'s row plus the anchor hits of the pre-commit
+    /// aggregates (gathered serially, means scored in parallel, written
+    /// back serially) — then folds `pe` into the aggregates.
+    fn commit_arena(
+        &self,
+        arena: &BenefitArena,
+        st: &mut GreedyState,
+        cc: &mut AdvertConfig,
+        prefix: PrefixId,
+        pe: PeeringId,
+    ) {
+        let row = arena.ugs_of(pe.idx());
+        let mut moved: Vec<u32> = row.to_vec();
+        self.anchor_hits(arena, st, pe, |u| moved.push(u as u32));
+        cc.add(prefix, pe);
+        let current = cc.peerings_of(prefix);
+        obs_count!(self.obs, "core.parallel_tasks", moved.len() as u64);
+        obs_count!(self.obs, "core.greedy_rescored_ugs", moved.len() as u64);
+        obs_count!(self.obs, "core.greedy_anchor_hits", (moved.len() - row.len()) as u64);
+        let means: Vec<f64> = self.pool.install(|| {
+            moved
+                .par_iter()
+                .map(|&u| arena.mean_latency(&self.model, u as usize, current))
+                .collect()
+        });
+        for (&u, mean) in moved.iter().zip(means) {
+            st.cur_mean[u as usize] = mean;
+        }
+        for &u in row {
+            let u = u as usize;
+            st.first_pe[u] = st.first_pe[u].min(pe.0);
+            st.adv_max_km[u] = st.adv_max_km[u].max(arena.km_to_peering(u, pe.idx()));
+            // Exact from scratch: a UG touched for the first time has
+            // missed every earlier anchor update.
+            st.d_min[u] = current
+                .iter()
+                .map(|p| arena.km_to_peering(u, p.idx()))
+                .fold(f64::INFINITY, f64::min);
+        }
+        st.anchor_sensitive.clear();
+        for p in current {
+            for &u in arena.ugs_of(p.idx()) {
+                if st.first_pe[u as usize] == p.0 {
+                    let km = arena.km_to_peering(u as usize, pe.idx());
+                    st.d_min[u as usize] = st.d_min[u as usize].min(km);
+                    if st.adv_max_km[u as usize] > self.model.d_reuse_km {
+                        st.anchor_sensitive.push(u);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Calls `hit(u)` for every UG *outside* `pe`'s row whose mean under
+    /// the open prefix can move when `pe` joins it, in the order the
+    /// scoring sums are pinned to (that of `anchor_sensitive`).
     ///
-    /// One scoring task: pure reads of `self`, the arena, and the caches,
-    /// and the float fold runs serially in here — parallel callers get a
+    /// Such a UG keeps its advertised-candidate set; only its `D_reuse`
+    /// anchor can move, and only if `pe`'s PoP is closer than `d_min`. Its
+    /// mean then changes only if some advertised candidate ends up beyond
+    /// `d_reuse_km` of the new anchor — impossible unless the farthest one
+    /// does (`adv_max_km`, which over-approximates the in-reach set, so
+    /// the test is conservative). Everything else contributes `±0.0`.
+    /// `anchor_sensitive` pre-applies the same test with the anchor at
+    /// 0 km (distances are non-negative), which needs no read of the
+    /// distance slab.
+    fn anchor_hits(
+        &self,
+        arena: &BenefitArena,
+        st: &GreedyState,
+        pe: PeeringId,
+        mut hit: impl FnMut(usize),
+    ) {
+        for &u in &st.anchor_sensitive {
+            let u = u as usize;
+            let km = arena.km_to_peering(u, pe.idx());
+            if km < st.d_min[u]
+                && st.adv_max_km[u] - km > self.model.d_reuse_km
+                && !arena.has_candidate(u, pe)
+            {
+                hit(u);
+            }
+        }
+    }
+
+    /// Initial-fill score of peering slot `pe_idx` (`NaN` = empty
+    /// incidence, never scored).
+    fn fill_score(&self, arena: &BenefitArena, st: &GreedyState, pe_idx: usize) -> f64 {
+        if arena.ugs_of(pe_idx).is_empty() {
+            return f64::NAN;
+        }
+        self.candidate_delta_arena(arena, PeeringId(pe_idx as u32), &[], st)
+    }
+
+    /// Marginal modeled benefit of adding `pe` to the open prefix's set
+    /// `current`, reading the SoA arena.
+    ///
+    /// One scoring task: pure reads of `self`, the arena, and `st`, and
+    /// the float fold runs serially in here — parallel callers get a
     /// single scalar back, so the association of every `+` is fixed by
-    /// the data regardless of which worker ran the task. Visits UGs in
-    /// the exact order of the nested-map reference path (incidence row of
-    /// `pe` ascending, then each current peering's row ascending with
-    /// already-counted UGs skipped), so the two paths are bit-identical
-    /// (see `arena_fill_matches_reference`).
+    /// the data regardless of which worker ran the task. Sums the non-zero
+    /// terms in the exact order of the nested-map reference path
+    /// (incidence row of `pe` ascending, then each current peering's row
+    /// ascending with already-counted UGs skipped); the terms
+    /// [`Self::anchor_hits`] skips are `±0.0`, so the two paths are
+    /// bit-identical (see `rescore_matches_reference_at_every_step`).
     fn candidate_delta_arena(
         &self,
         arena: &BenefitArena,
         pe: PeeringId,
         current: &[PeeringId],
-        p_idx: usize,
-        pb: usize,
-        prefix_mean: &[f64],
+        st: &GreedyState,
     ) -> f64 {
-        if current.binary_search(&pe).is_ok() {
-            return 0.0;
-        }
+        let Err(pos) = current.binary_search(&pe) else { return 0.0 };
         let mut new_set = current.to_vec();
-        let pos = new_set.binary_search(&pe).unwrap_err();
         new_set.insert(pos, pe);
+        let row = arena.ugs_of(pe.idx());
         let mut delta = 0.0;
-        // UGs with the new peering as a candidate...
-        for &u in arena.ugs_of(pe.idx()) {
-            delta += self.ug_delta_arena(arena, u as usize, p_idx, pb, &new_set, prefix_mean);
+        for &u in row {
+            delta += self.ug_delta_arena(arena, st, u as usize, &new_set);
         }
-        // ...plus UGs already touched by the prefix (their D_reuse anchor
-        // or candidate mix may shift) that don't have `pe`. Dedup state is
-        // sized by the touched rows, not by the world — the initial fill
-        // (empty `current`) allocates nothing here, which is what lets a
-        // million-UG fill stay linear in candidacies.
-        if !current.is_empty() {
-            let mut counted: HashSet<u32> = arena.ugs_of(pe.idx()).iter().copied().collect();
-            for p in current {
-                for &u in arena.ugs_of(p.idx()) {
-                    if counted.insert(u) {
-                        delta += self.ug_delta_arena(
-                            arena,
-                            u as usize,
-                            p_idx,
-                            pb,
-                            &new_set,
-                            prefix_mean,
-                        );
-                    }
-                }
-            }
-        }
+        let mut hits = 0u64;
+        self.anchor_hits(arena, st, pe, |u| {
+            hits += 1;
+            delta += self.ug_delta_arena(arena, st, u, &new_set);
+        });
+        obs_count!(self.obs, "core.greedy_rescored_ugs", row.len() as u64 + hits);
+        obs_count!(self.obs, "core.greedy_anchor_hits", hits);
         delta
     }
 
-    /// Benefit delta (weighted improvement change) for UG `u` if prefix
-    /// `p_idx`'s peering set becomes `new_set`, reading the SoA arena and
-    /// the flat `prefix_mean` (`INFINITY` = old `None`; it falls out of
-    /// every `min` untouched, so the encodings agree bitwise).
+    /// Benefit delta (weighted improvement change) for UG `u` if the open
+    /// prefix's peering set becomes `new_set`.
     fn ug_delta_arena(
         &self,
         arena: &BenefitArena,
+        st: &GreedyState,
         u: usize,
-        p_idx: usize,
-        pb: usize,
         new_set: &[PeeringId],
-        prefix_mean: &[f64],
     ) -> f64 {
         let anycast = arena.anycast_ms(u);
-        let row = &prefix_mean[u * pb..(u + 1) * pb];
-        // Best over the *other* prefixes (and anycast).
-        let mut others = anycast;
-        for (q, &m) in row.iter().enumerate() {
-            if q != p_idx {
-                others = others.min(m);
-            }
-        }
-        let old_best = others.min(row[p_idx]);
+        let others = st.closed_best[u];
+        let old_best = others.min(st.cur_mean[u]);
         let new_best = others.min(arena.mean_latency(&self.model, u, new_set));
         arena.weight(u) * ((anycast - new_best).max(0.0) - (anycast - old_best).max(0.0))
     }
@@ -749,31 +816,18 @@ impl Orchestrator {
     /// reference so benchmarks compare memory layout alone. Bit-identical
     /// to [`Orchestrator::fill_scores_reference`].
     pub fn fill_scores_arena(&self, arena: &BenefitArena) -> Vec<f64> {
-        let pb = self.config.prefix_budget;
-        if pb == 0 {
+        if self.config.prefix_budget == 0 {
             return vec![f64::NAN; arena.n_peerings()];
         }
-        let prefix_mean = vec![f64::INFINITY; arena.n_ugs() * pb];
-        (0..arena.n_peerings())
-            .map(|pe_idx| {
-                if arena.ugs_of(pe_idx).is_empty() {
-                    return f64::NAN;
-                }
-                self.candidate_delta_arena(
-                    arena,
-                    PeeringId(pe_idx as u32),
-                    &[],
-                    0,
-                    pb,
-                    &prefix_mean,
-                )
-            })
-            .collect()
+        let st = GreedyState::new(arena);
+        (0..arena.n_peerings()).map(|pe| self.fill_score(arena, &st, pe)).collect()
     }
 
     /// Marginal modeled benefit through the nested-map reference path
-    /// (the pre-arena hot path, now feeding only
-    /// [`Orchestrator::fill_scores_reference`]).
+    /// (the pre-arena hot path: every UG of every committed row
+    /// re-evaluated), now feeding only
+    /// [`Orchestrator::fill_scores_reference`] and the rescore oracle
+    /// test.
     fn candidate_delta(
         &self,
         pe: PeeringId,
@@ -1337,6 +1391,159 @@ mod tests {
             assert_eq!(r.to_bits(), s.to_bits(), "peering {pe}: {r} vs {s}");
         }
         assert!(reference.iter().any(|d| d.is_finite() && *d > 0.0), "degenerate fixture");
+    }
+
+    /// FNV-1a over a word sequence — the seed expander.
+    fn h64(parts: &[u64]) -> u64 {
+        let mut h = painter_obs::Fnv1a::new();
+        for p in parts {
+            h.update(&p.to_le_bytes());
+        }
+        h.finish()
+    }
+
+    /// Hash-built world for the anchor filter: 3–5 PoPs, 6–9 peerings,
+    /// UG→PoP distances hashed over 0–9000 km so candidate and anchor
+    /// distances straddle `D_reuse` = 3000 km both ways, 0–4 candidates
+    /// per UG. The last two UGs are the
+    /// `d_min_uses_all_advertised_pops_not_just_candidates` shape, fixed:
+    /// not a candidate of peering 0 (100 km away), candidates of peerings
+    /// 1 and 2 farther out — one pair inside `D_reuse` of each other (a
+    /// closer non-candidate anchor evicts both), one already split by its
+    /// own anchor (the filter's false positive).
+    fn anchor_world(seed: u64) -> OrchestratorInputs {
+        let n_pops = 3 + (h64(&[seed, 1]) % 3) as usize;
+        let n_pe = 6 + (h64(&[seed, 2]) % 4) as usize;
+        let n_hashed = 24 + (h64(&[seed, 3]) % 24) as usize;
+        let view = |u: usize, candidates: Vec<(PeeringId, f64)>| crate::inputs::UgView {
+            id: UgId(u as u32),
+            metro: painter_geo::MetroId(0),
+            weight: 0.1 + (h64(&[seed, 4, u as u64]) % 990) as f64 / 100.0,
+            anycast_ms: 40.0 + (h64(&[seed, 5, u as u64]) % 800) as f64 / 10.0,
+            candidates,
+        };
+        let mut ugs = Vec::new();
+        let mut ug_pop_km = Vec::new();
+        for u in 0..n_hashed {
+            let candidates = (0..n_pe)
+                .filter(|&p| h64(&[seed, 6, u as u64, p as u64]) % (n_pe as u64) < 3)
+                .map(|p| {
+                    let ms = 5.0 + (h64(&[seed, 7, u as u64, p as u64]) % 950) as f64 / 10.0;
+                    (PeeringId(p as u32), ms)
+                })
+                .collect();
+            ugs.push(view(u, candidates));
+            ug_pop_km.push(
+                (0..n_pops).map(|p| (h64(&[seed, 8, u as u64, p as u64]) % 9000) as f64).collect(),
+            );
+        }
+        for far in [[4000.0, 6500.0], [200.0, 8000.0]] {
+            ugs.push(view(ugs.len(), vec![(PeeringId(1), 20.0), (PeeringId(2), 5.0)]));
+            let mut km = vec![100.0, far[0], far[1]];
+            km.resize(n_pops, 9000.0);
+            ug_pop_km.push(km);
+        }
+        OrchestratorInputs {
+            ugs,
+            ug_pop_km,
+            peering_pop: (0..n_pe).map(|i| i % n_pops).collect(),
+            peering_count: n_pe,
+            capacities: None,
+        }
+    }
+
+    /// Walks two prefixes of hashed commit sequences. Before every commit,
+    /// every peering's rescore must equal the nested-map reference
+    /// bit-for-bit; after it, the refreshed means must equal the routing
+    /// model's and the anchor aggregate must be exact. Returns how many
+    /// rescores carried a non-zero term from outside the peering's row.
+    fn walk_against_reference(orch: &Orchestrator, seed: u64) -> usize {
+        let inputs = &orch.inputs;
+        let arena = BenefitArena::from_inputs(inputs);
+        let (n_ugs, n_pe) = (inputs.ugs.len(), inputs.peering_count);
+        let mut by_peering: Vec<Vec<usize>> = vec![Vec::new(); n_pe];
+        for (i, ug) in inputs.ugs.iter().enumerate() {
+            for (p, _) in &ug.candidates {
+                by_peering[p.idx()].push(i);
+            }
+        }
+        let mut reference_mean: Vec<Vec<Option<f64>>> = vec![vec![None; 2]; n_ugs];
+        let mut st = GreedyState::new(&arena);
+        let mut cc = AdvertConfig::new();
+        let mut anchor_moved = 0;
+        for p_idx in 0..2 {
+            let prefix = PrefixId(p_idx as u16);
+            // A hashed permutation: the walk commits all but one peering.
+            let mut order: Vec<u32> = (0..n_pe as u32).collect();
+            order.sort_by_key(|&pe| h64(&[seed, 9, p_idx as u64, pe as u64]));
+            for (step, &next) in order[1..].iter().enumerate() {
+                let current = cc.peerings_of(prefix).to_vec();
+                for pe in (0..n_pe as u32).map(PeeringId) {
+                    let got = orch.candidate_delta_arena(&arena, pe, &current, &st);
+                    let want =
+                        orch.candidate_delta(pe, &current, p_idx, &by_peering, &reference_mean);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "seed {seed} prefix {p_idx} step {step} {pe:?} + {current:?}: {got} vs {want}"
+                    );
+                    let Err(pos) = current.binary_search(&pe) else { continue };
+                    let mut new_set = current.clone();
+                    new_set.insert(pos, pe);
+                    let row_only: f64 = arena
+                        .ugs_of(pe.idx())
+                        .iter()
+                        .map(|&u| orch.ug_delta_arena(&arena, &st, u as usize, &new_set))
+                        .sum();
+                    anchor_moved += usize::from(row_only != got);
+                }
+                orch.commit_arena(&arena, &mut st, &mut cc, prefix, PeeringId(next));
+                let current = cc.peerings_of(prefix);
+                for (u, means) in reference_mean.iter_mut().enumerate() {
+                    means[p_idx] =
+                        orch.model.expected_latency(inputs, u, current).map(|e| e.mean_ms);
+                    let want = means[p_idx].unwrap_or(f64::INFINITY);
+                    assert_eq!(st.cur_mean[u].to_bits(), want.to_bits(), "seed {seed} UG {u}");
+                    if st.first_pe[u] != u32::MAX {
+                        let anchor = current
+                            .iter()
+                            .map(|p| inputs.ug_pop_km[u][inputs.peering_pop[p.idx()]])
+                            .fold(f64::INFINITY, f64::min);
+                        assert_eq!(st.d_min[u], anchor, "seed {seed} UG {u} anchor");
+                    }
+                }
+            }
+            st.close_prefix();
+        }
+        anchor_moved
+    }
+
+    #[test]
+    fn rescore_matches_reference_at_every_step() {
+        // The equivalence proptests compare the greedy with itself; this
+        // is the independent oracle for a rescore with non-empty `current`.
+        let mut anchor_moved = [0usize; 2];
+        for seed in 0..24u64 {
+            let inputs = anchor_world(seed);
+            let n_pe = inputs.peering_count as u64;
+            let mut orch = Orchestrator::new(inputs, OrchestratorConfig::default());
+            anchor_moved[0] += walk_against_reference(&orch, seed);
+            // Learned facts push `mean_latency` onto its slow path; they
+            // filter after reach, so the anchor filter must stay exact.
+            for k in 0..40u64 {
+                let h = h64(&[seed, 10, k]);
+                let ug = UgId((h % orch.inputs.ugs.len() as u64) as u32);
+                let (a, b) =
+                    (PeeringId(((h >> 16) % n_pe) as u32), PeeringId(((h >> 32) % n_pe) as u32));
+                if k % 4 == 0 {
+                    orch.model.mark_unreachable(ug, a);
+                } else {
+                    orch.model.learn_dominance(ug, a, b);
+                }
+            }
+            anchor_moved[1] += walk_against_reference(&orch, seed);
+        }
+        assert!(anchor_moved.iter().all(|&n| n > 100), "degenerate fixture: {anchor_moved:?}");
     }
 
     #[test]

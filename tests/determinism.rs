@@ -58,7 +58,7 @@ fn orchestrator_pipeline_is_deterministic() {
 
 /// The full orchestrator→TM pipeline must produce byte-identical
 /// `RunReport` JSON at every `PAINTER_THREADS` setting. Only wall-clock
-/// spans, the thread-count gauge and the two scoring-work counters are
+/// spans, the thread-count gauge and the four scoring-work counters are
 /// stripped before comparing — those legitimately differ; everything
 /// else (configs, benefit floats, pair counts, simulated-time TM metrics)
 /// must not.
@@ -116,10 +116,13 @@ fn run_report_is_thread_count_invariant() {
                     | "core.greedy_threads"
                     // The greedy's speculation width equals the pool size:
                     // a wider pool prefetches more rescores per batch, so
-                    // these two work counters scale with the thread count.
-                    // The results they feed do not.
+                    // these four work counters scale with the thread count
+                    // (the last two are bumped by every rescore, consumed
+                    // or speculative). The results they feed do not.
                     | "core.parallel_tasks"
                     | "core.greedy_batch_recompute"
+                    | "core.greedy_rescored_ugs"
+                    | "core.greedy_anchor_hits"
             )
         });
         report.add_snapshot(snap);
