@@ -41,7 +41,7 @@
 //! `figures explain` replays one campaign with the flight recorder on
 //! and prints the deterministic event timeline, the per-fault incident
 //! records, and an `explain.fnv1a` digest — byte-identical across
-//! same-seed replays (the `trace-determinism` CI job holds it to that).
+//! same-seed replays (the `replay-determinism` CI job holds it to that).
 //!
 //! The default output is the structured run-report table built from
 //! [`painter_eval::figures_report`]; `--report` writes the same data

@@ -17,6 +17,8 @@
 //!   quarantine, plan hysteresis, safety rollback), proposing repair
 //!   announcements for sustained-dark prefixes;
 //!
+//! all replaying the rows the campaign kernel's control plane sampled
+//! (`campaign.rs`: world, control plane, repair plane, TM replay),
 //! and each strategy is scored with a [`Scorecard`] (availability,
 //! time-to-recover histogram, failovers, latency inflation) emitted as
 //! `chaos.*` report sections. The closed loop additionally emits a
@@ -32,40 +34,30 @@
 //! per-campaign `chaos.<name>.schedule` section records the spec and an
 //! FNV-1a digest of the injection trace as the replay receipt.
 
+use crate::campaign::{
+    add_tunnels, build_world, check_clock, drain_and_score, replay_rows, sample_time, Cell,
+    ControlPlane, HarnessWorld, HealthWindow, RepairPlane, Row, ANYCAST_OVERHEAD_MS, DARK_ITERS,
+    ITER_S, SAMPLE_MS,
+};
 use crate::incidents::{attribute, incident_sections, Incident};
-use crate::scenario::{Scale, SALT};
-use painter_bgp::dynamics::{BgpEngine, DynamicsConfig};
-use painter_bgp::AdvertConfig;
+use crate::scenario::Scale;
 use painter_bgp::PrefixId;
 use painter_chaos::{
-    program_bgp_traced, program_tm, program_tm_traced, trace_fault_spans, DataPlaneState,
-    FaultEvent, FaultKind, FaultSpec, Injection, ScenarioSpec, Schedule, Scorecard, Target,
-    TmTarget, WorldView,
+    program_tm, program_tm_traced, FaultEvent, FaultKind, FaultSpec, Injection, ScenarioSpec,
+    Schedule, Scorecard, Target, TmTarget,
 };
 use painter_core::{
-    apply_to_engine, diff, revert_plan, ConfigEvaluator, GuardConfig, HealthSample, Observations,
-    ObservedReachability, Orchestrator, OrchestratorConfig, OrchestratorInputs, PlanHysteresis,
-    QuarantineBuffer, RollbackGuard, UgView,
+    ConfigEvaluator, GuardConfig, Observations, ObservedReachability, Orchestrator,
+    OrchestratorConfig, OrchestratorInputs, PlanHysteresis, QuarantineBuffer, UgView,
 };
 use painter_eventsim::{derive_seed, SimTime};
-use painter_geo::{metro, Region};
 use painter_measure::UgId;
-use painter_obs::{Section, TraceEvent, TraceId, TraceKind, TraceSink};
-use painter_tm::{TmSimulation, TmSimulationConfig, TunnelId};
-use painter_topology::{AsGraph, AsId, AsTier, Deployment, PeeringId, PeeringKind, Relationship};
+use painter_obs::{Section, TraceEvent, TraceId, TraceSink};
+use painter_tm::{TmSimulation, TmSimulationConfig};
+use painter_topology::PeeringId;
 
-/// Sampling grid for coupling BGP state into the TM channel schedules.
-const SAMPLE_MS: f64 = 25.0;
-/// Extra RTT on the anycast path (shared front-end VIP indirection; see
-/// `figs::fig10`).
-const ANYCAST_OVERHEAD_MS: f64 = 4.0;
+pub use crate::campaign::harness_world_view;
 
-/// Closed-loop iteration cadence: one advertise→measure→learn pass per
-/// this many seconds of campaign time.
-const ITER_SECS: f64 = 6.0;
-/// Consecutive dark iterations before a unicast prefix is declared
-/// unreachable and a repair announcement is proposed.
-const DARK_ITERS: u32 = 2;
 /// Control-plane updates per iteration window above which a prefix's
 /// advertised peerings are churn-flagged for quarantine.
 const CHURN_UPDATES: usize = 6;
@@ -249,81 +241,9 @@ impl LearningStats {
     }
 }
 
-/// The campaign world: fig10's two-PoP shape (New York = PoP-A,
-/// London = PoP-B, two transit ISPs at both, the enterprise stub in New
-/// York behind two regional access ISPs, plus churn bystanders).
-pub(crate) struct HarnessWorld {
-    pub(crate) graph: AsGraph,
-    pub(crate) deployment: Deployment,
-    pub(crate) stub: AsId,
-    pub(crate) stub_metro: painter_geo::MetroId,
-    /// The churn bystander stubs — sampled (read-only) during campaigns
-    /// to measure each fault's blast radius in rerouted user groups.
-    pub(crate) bystanders: Vec<AsId>,
-}
-
-pub(crate) fn build_world() -> HarnessWorld {
-    let ny = painter_geo::metro::all_metro_ids()
-        .find(|&m| metro(m).name == "New York")
-        .expect("metro db");
-    let lon =
-        painter_geo::metro::all_metro_ids().find(|&m| metro(m).name == "London").expect("metro db");
-    let mut graph = AsGraph::new();
-    let isp1 = graph.add_node(AsTier::Tier1, Region::NorthAmerica, vec![ny, lon], 1.05);
-    let isp2 = graph.add_node(AsTier::Tier1, Region::Europe, vec![ny, lon], 1.15);
-    let acc1 = graph.add_node(AsTier::Access, Region::NorthAmerica, vec![ny], 1.0);
-    let acc2 = graph.add_node(AsTier::Access, Region::NorthAmerica, vec![ny], 1.1);
-    let stub = graph.add_node(AsTier::Stub, Region::NorthAmerica, vec![ny], 1.0);
-    graph.add_link(isp1, isp2, Relationship::PeerWith).expect("new link");
-    graph.add_link(isp1, acc1, Relationship::ProviderOf).expect("new link");
-    graph.add_link(isp2, acc1, Relationship::ProviderOf).expect("new link");
-    graph.add_link(isp1, acc2, Relationship::ProviderOf).expect("new link");
-    graph.add_link(isp2, acc2, Relationship::ProviderOf).expect("new link");
-    graph.add_link(acc1, stub, Relationship::ProviderOf).expect("new link");
-    graph.add_link(acc2, stub, Relationship::ProviderOf).expect("new link");
-    let mut bystanders = Vec::with_capacity(8);
-    for i in 0..8 {
-        let bystander = graph.add_node(AsTier::Stub, Region::NorthAmerica, vec![ny], 1.0);
-        let upstream = if i % 2 == 0 { acc1 } else { acc2 };
-        graph.add_link(upstream, bystander, Relationship::ProviderOf).expect("new link");
-        bystanders.push(bystander);
-    }
-    let deployment = Deployment::from_parts(
-        vec![ny, lon],
-        vec![
-            (0, isp1, PeeringKind::TransitProvider),
-            (0, isp2, PeeringKind::TransitProvider),
-            (1, isp1, PeeringKind::TransitProvider),
-            (1, isp2, PeeringKind::TransitProvider),
-        ],
-    );
-    HarnessWorld { graph, deployment, stub, stub_metro: ny, bystanders }
-}
-
-/// Chaos tunnel index 0 is the anycast prefix; 1.. are the per-peering
-/// unicast prefixes (the order handed to `TmSimulation::add_path`).
-pub(crate) fn prefix_plan() -> Vec<(PrefixId, Vec<PeeringId>)> {
-    vec![
-        (PrefixId(0), vec![PeeringId(0), PeeringId(1), PeeringId(2), PeeringId(3)]),
-        (PrefixId(1), vec![PeeringId(0)]),
-        (PrefixId(2), vec![PeeringId(1)]),
-        (PrefixId(3), vec![PeeringId(2)]),
-        (PrefixId(4), vec![PeeringId(3)]),
-    ]
-}
-
-/// The harness world's compile view — two PoPs, four peerings, the
-/// anycast-plus-unicast prefix plan — exposed so the adversarial
-/// searcher's grammar can be built over exactly the elements campaigns
-/// run against.
-pub fn harness_world_view() -> WorldView {
-    WorldView::from_deployment(&build_world().deployment, prefix_plan())
-}
-
-/// Runs one campaign: compiles the spec, drives one shared BGP engine,
-/// samples gated per-prefix reachability/latency onto three Traffic
-/// Manager runs (painter / anycast / dns), and scores each. The guard
-/// layer runs at [`GuardConfig::default`]; use
+/// Runs one campaign: compiles the spec, samples the kernel's control
+/// plane over the horizon, and scores the four strategies on those rows.
+/// The guard layer runs at [`GuardConfig::default`]; use
 /// [`run_campaign_with_guard`] to vary it.
 pub fn run_campaign(
     spec: &ScenarioSpec,
@@ -344,10 +264,9 @@ pub fn run_campaign_with_guard(
     seed: u64,
     guard: &GuardConfig,
 ) -> Result<CampaignOutcome, String> {
+    check_clock(&[("horizon_s", timing.horizon_s), ("warmup_s", timing.warmup_s)])?;
     let world = build_world();
-    let plan = prefix_plan();
-    let view = WorldView::from_deployment(&world.deployment, plan.clone());
-    let schedule = Schedule::compile(spec, &view, seed)?;
+    let schedule = Schedule::compile(spec, &world.view(), seed)?;
     let first_fault = schedule.first_at().unwrap_or(SimTime::MAX);
     let horizon = SimTime::from_secs(timing.horizon_s);
 
@@ -357,89 +276,46 @@ pub fn run_campaign_with_guard(
     // no event-queue effect), so recording never perturbs the campaign;
     // under `obs-off` the sink is a ZST and every emit vanishes.
     let sink = TraceSink::recording();
-    let spans = trace_fault_spans(&schedule, &sink);
+    let mut control =
+        ControlPlane::new(&world, &schedule, seed, timing.warmup_s, ANYCAST_OVERHEAD_MS, &sink);
 
-    // --- Shared control plane: announce everything, queue the chaos
-    // events, let BGP converge through the warm-up.
-    let dynamics = DynamicsConfig { proc_delay_ms: (30.0, 400.0), mrai_secs: (2.0, 8.0), seed };
-    let mut engine = BgpEngine::new(&world.graph, &world.deployment, dynamics, SALT);
-    engine.set_trace(sink.clone());
-    for (prefix, peerings) in &plan {
-        for &pe in peerings {
-            engine.announce(SimTime::ZERO, *prefix, pe);
-        }
-    }
-    program_bgp_traced(&schedule, &mut engine, &spans);
-    engine.run_until(SimTime::from_secs(timing.warmup_s));
-
-    // Converged base RTT per chaos tunnel (what a blackhole recovery
-    // restores).
-    let base: Vec<f64> = plan
-        .iter()
-        .map(|(prefix, _)| {
-            let overhead = if prefix.0 == 0 { ANYCAST_OVERHEAD_MS } else { 0.0 };
-            engine
-                .current_rtt_ms(world.stub, world.stub_metro, *prefix)
-                .map(|r| r + overhead)
-                .unwrap_or(100.0)
-        })
-        .collect();
-
-    // --- Sample BGP state once, gated by administrative data-plane
-    // liveness: a route through a dead PoP blackholes immediately even
-    // while its session waits out failure detection, and a blackholed
-    // tunnel stays dark regardless of what BGP believes.
-    // Half-open sampling [0, horizon): a control-plane change at exactly
-    // the horizon cannot affect any in-horizon request, but reprogramming
-    // a channel down there would drop its in-flight responses.
+    // --- Sample the control plane once; every strategy replays these
+    // rows. Half-open sampling [0, horizon): a control-plane change at
+    // exactly the horizon cannot affect any in-horizon request, but
+    // reprogramming a channel down there would drop its in-flight
+    // responses.
     let steps = (timing.horizon_s * 1000.0 / SAMPLE_MS) as usize;
-    let mut dps = DataPlaneState::new(view.pops as usize, plan.len());
-    let mut avail: Vec<Vec<Option<(PeeringId, f64)>>> = Vec::with_capacity(steps);
+    let mut avail: Vec<Row> = Vec::with_capacity(steps);
     // Bystander anycast ingresses, sampled per step for blast-radius
-    // attribution. Pure reads of already-advanced engine state — the
-    // sampling can never perturb the campaign — and skipped entirely
-    // when no trace is being recorded.
+    // attribution; skipped entirely when no trace is being recorded.
     let mut bystander_rows: Vec<Vec<Option<PeeringId>>> = Vec::new();
     for step in 0..steps {
-        let t = SimTime::from_ms(step as f64 * SAMPLE_MS);
-        engine.run_until(t);
-        dps.advance(&schedule, t);
+        avail.push(control.sample(sample_time(step)));
         if sink.is_recording() {
             bystander_rows.push(
-                world
-                    .bystanders
-                    .iter()
-                    .map(|&b| {
-                        engine
-                            .current_path(b, PrefixId(0))
-                            .filter(|(_, ingress)| {
-                                !dps.pop_down(world.deployment.peering(*ingress).pop)
-                            })
-                            .map(|(_, ingress)| ingress)
-                    })
-                    .collect(),
+                world.bystanders.iter().map(|&b| control.plane.ingress(b, PrefixId(0))).collect(),
             );
         }
-        let row: Vec<Option<(PeeringId, f64)>> = plan
-            .iter()
-            .enumerate()
-            .map(|(idx, (prefix, _))| {
-                if dps.tunnel_down(idx) {
-                    return None;
-                }
-                let overhead = if prefix.0 == 0 { ANYCAST_OVERHEAD_MS } else { 0.0 };
-                engine
-                    .current_path(world.stub, *prefix)
-                    .filter(|(_, ingress)| !dps.pop_down(world.deployment.peering(*ingress).pop))
-                    .and_then(|(_, ingress)| {
-                        engine
-                            .current_rtt_ms(world.stub, world.stub_metro, *prefix)
-                            .map(|r| (ingress, r + overhead))
-                    })
-            })
-            .collect();
-        avail.push(row);
     }
+    let base = &control.base;
+    let new_tm = |stream: u64| {
+        TmSimulation::new(TmSimulationConfig {
+            seed: derive_seed(seed, stream),
+            ..Default::default()
+        })
+    };
+    let score = |tm: &mut TmSimulation, strategy: &str| {
+        drain_and_score(tm, &spec.name, strategy, horizon, first_fault)
+    };
+    // A strategy whose whole story is its rows: the first `tunnels`
+    // tunnels of the plan, full fault programming, unrecorded.
+    let replay = |strategy: &str, stream: u64, tunnels: usize, rows: &[Row]| {
+        let mut tm = new_tm(stream);
+        let targets = add_tunnels(&mut tm, &world, &base[..tunnels]);
+        program_tm(&schedule, &mut tm, &targets);
+        replay_rows(&mut tm, &targets, rows, |_, _, _| TraceId::NONE);
+        score(&mut tm, strategy)
+    };
 
     // --- Strategy 1: PAINTER — every tunnel, full fault programming.
     // This is the strategy whose Traffic Manager feeds the flight
@@ -448,49 +324,18 @@ pub fn run_campaign_with_guard(
     // fault that explains it (the other strategies' TMs replay the same
     // physics unrecorded).
     let painter = {
-        let mut tm = TmSimulation::new(TmSimulationConfig {
-            seed: derive_seed(seed, 1),
-            ..Default::default()
-        });
+        let mut tm = new_tm(1);
         tm.set_trace(sink.clone());
-        let tunnels = add_all_paths(&mut tm, &world, &plan, &base);
-        let targets = tm_targets(&tunnels, &base);
-        program_tm_traced(&schedule, &mut tm, &targets, &spans);
-        let mut cursor = FaultCursor::new(&schedule, &plan, &world.deployment, &spans);
-        for (step, row) in avail.iter().enumerate() {
-            let t = SimTime::from_ms(step as f64 * SAMPLE_MS);
-            cursor.advance(t);
-            for (idx, sample) in row.iter().enumerate() {
-                match sample {
-                    Some((_, rtt)) => {
-                        tm.schedule_path_rtt_caused(t, tunnels[idx], *rtt, cursor.up_cause(idx))
-                    }
-                    None => tm.schedule_path_down_caused(t, tunnels[idx], cursor.down_cause(idx)),
-                }
-            }
-        }
-        drain_and_score(&mut tm, &spec.name, "painter", horizon, first_fault)
+        let targets = add_tunnels(&mut tm, &world, base);
+        program_tm_traced(&schedule, &mut tm, &targets, &control.spans);
+        let mut cursor = FaultCursor::new(&world, &schedule, &control.spans);
+        replay_rows(&mut tm, &targets, &avail, |t, idx, lit| cursor.cause(t, idx, lit));
+        score(&mut tm, "painter")
     };
 
     // --- Strategy 2: anycast — one tunnel; recovery is BGP
     // reconvergence onto the surviving ingress.
-    let anycast = {
-        let mut tm = TmSimulation::new(TmSimulationConfig {
-            seed: derive_seed(seed, 2),
-            ..Default::default()
-        });
-        let pop = world.deployment.peering(plan[0].1[0]).pop;
-        let tunnel = tm.add_path(plan[0].0, pop, base[0]);
-        program_tm(&schedule, &mut tm, &[TmTarget { tunnel, base_rtt_ms: base[0] }]);
-        for (step, row) in avail.iter().enumerate() {
-            let t = SimTime::from_ms(step as f64 * SAMPLE_MS);
-            match row[0] {
-                Some((_, rtt)) => tm.schedule_path_rtt(t, tunnel, rtt),
-                None => tm.schedule_path_down(t, tunnel),
-            }
-        }
-        drain_and_score(&mut tm, &spec.name, "anycast", horizon, first_fault)
-    };
+    let anycast = replay("anycast", 2, 1, &avail);
 
     // --- Strategy 3: DNS — all unicast tunnels exist, but only the
     // currently-resolved record's tunnel is usable; the (health-checked)
@@ -498,19 +343,14 @@ pub fn run_campaign_with_guard(
     // boundaries. Tunnel liveness flows through the sampled schedule, so
     // only the latency/loss/probe overlays are injected directly.
     let dns = {
-        let mut tm = TmSimulation::new(TmSimulationConfig {
-            seed: derive_seed(seed, 3),
-            ..Default::default()
-        });
-        let tunnels = add_all_paths(&mut tm, &world, &plan, &base);
-        let targets = tm_targets(&tunnels, &base);
+        let mut tm = new_tm(3);
+        let targets = add_tunnels(&mut tm, &world, base);
         program_overlays(&schedule, &mut tm, &targets);
         let ttl_ns = SimTime::from_secs(timing.dns_ttl_s).as_nanos().max(1);
         let mut resolved: Option<usize> = None;
         let mut window = u64::MAX;
-        for (step, row) in avail.iter().enumerate() {
-            let t = SimTime::from_ms(step as f64 * SAMPLE_MS);
-            let w = t.as_nanos() / ttl_ns;
+        let usable = avail.iter().enumerate().map(|(step, row)| {
+            let w = sample_time(step).as_nanos() / ttl_ns;
             if w != window {
                 window = w;
                 // Anycast (index 0) is not a DNS answer; an all-dark
@@ -525,35 +365,19 @@ pub fn run_campaign_with_guard(
                     resolved = Some(idx);
                 }
             }
-            for (idx, sample) in row.iter().enumerate() {
-                match (Some(idx) == resolved, sample) {
-                    (true, Some((_, rtt))) => tm.schedule_path_rtt(t, tunnels[idx], *rtt),
-                    _ => tm.schedule_path_down(t, tunnels[idx]),
-                }
-            }
-        }
-        drain_and_score(&mut tm, &spec.name, "dns", horizon, first_fault)
+            let record = |(idx, cell): (usize, &Cell)| cell.filter(|_| Some(idx) == resolved);
+            row.iter().enumerate().map(record).collect::<Row>()
+        });
+        replay_rows(&mut tm, &targets, usable, |_, _, _| TraceId::NONE);
+        score(&mut tm, "dns")
     };
 
     // --- Strategy 4: the guarded closed loop, run live against the same
     // schedule. Its Traffic Manager deliberately shares painter's seed:
     // the two runs form a paired experiment, identical until a repair
-    // actually commits.
-    let (closed_loop, learning) = run_closed_loop(
-        &world,
-        &plan,
-        &engine,
-        &schedule,
-        timing,
-        seed,
-        guard,
-        &base,
-        &avail,
-        horizon,
-        first_fault,
-        &spec.name,
-        &sink,
-    );
+    // actually commits (bit-identical rows ⇒ bit-identical scorecards).
+    let (rows, learning) = run_closed_loop(&control, timing, seed, guard, &avail, &sink);
+    let closed_loop = replay("painter-closed-loop", 1, base.len(), &rows);
 
     // --- Fold the recorded stream into per-fault incident records.
     let events = sink.events();
@@ -581,8 +405,7 @@ pub fn run_campaign_with_guard(
 /// an inert sink every span is `NONE` and the cursor hands out `NONE`.
 struct FaultCursor<'a> {
     injections: &'a [Injection],
-    plan: &'a [(PrefixId, Vec<PeeringId>)],
-    deployment: &'a Deployment,
+    world: &'a HarnessWorld,
     spans: &'a [TraceId],
     next: usize,
     down: Vec<TraceId>,
@@ -590,21 +413,24 @@ struct FaultCursor<'a> {
 }
 
 impl<'a> FaultCursor<'a> {
-    fn new(
-        schedule: &'a Schedule,
-        plan: &'a [(PrefixId, Vec<PeeringId>)],
-        deployment: &'a Deployment,
-        spans: &'a [TraceId],
-    ) -> FaultCursor<'a> {
+    fn new(world: &'a HarnessWorld, schedule: &'a Schedule, spans: &'a [TraceId]) -> Self {
+        let none = vec![TraceId::NONE; world.plan.len()];
         FaultCursor {
             injections: schedule.injections(),
-            plan,
-            deployment,
+            world,
             spans,
             next: 0,
-            down: vec![TraceId::NONE; plan.len()],
-            up: vec![TraceId::NONE; plan.len()],
+            down: none.clone(),
+            up: none,
         }
+    }
+
+    /// The fault behind tunnel `idx` being lit (or dark) at `t`, for
+    /// [`replay_rows`]; call with non-decreasing `t`.
+    fn cause(&mut self, t: SimTime, idx: usize, lit: bool) -> TraceId {
+        self.advance(t);
+        let side = if lit { &self.up } else { &self.down };
+        side.get(idx).copied().unwrap_or(TraceId::NONE)
     }
 
     /// Consumes every injection at or before `t`, updating which fault
@@ -641,33 +467,26 @@ impl<'a> FaultCursor<'a> {
     }
 
     fn mark_prefix(&mut self, prefix: PrefixId, span: TraceId, down: bool) {
-        if let Some(idx) = self.plan.iter().position(|(p, _)| *p == prefix) {
+        if let Some(idx) = self.world.plan.iter().position(|(p, _)| *p == prefix) {
             self.mark_tunnel(idx, span, down);
         }
     }
 
     fn mark_peering(&mut self, peering: PeeringId, span: TraceId, down: bool) {
-        for idx in 0..self.plan.len() {
-            if self.plan[idx].1.contains(&peering) {
+        for idx in 0..self.world.plan.len() {
+            if self.world.plan[idx].1.contains(&peering) {
                 self.mark_tunnel(idx, span, down);
             }
         }
     }
 
     fn mark_pop(&mut self, pop: painter_topology::PopId, span: TraceId, down: bool) {
-        for idx in 0..self.plan.len() {
-            if self.plan[idx].1.iter().any(|pe| self.deployment.peering(*pe).pop == pop) {
+        let world = self.world;
+        for idx in 0..world.plan.len() {
+            if world.plan[idx].1.iter().any(|pe| world.deployment.peering(*pe).pop == pop) {
                 self.mark_tunnel(idx, span, down);
             }
         }
-    }
-
-    fn down_cause(&self, idx: usize) -> TraceId {
-        self.down.get(idx).copied().unwrap_or(TraceId::NONE)
-    }
-
-    fn up_cause(&self, idx: usize) -> TraceId {
-        self.up.get(idx).copied().unwrap_or(TraceId::NONE)
     }
 }
 
@@ -706,8 +525,8 @@ fn bystander_blast(schedule: &Schedule, rows: &[Vec<Option<PeeringId>>]) -> Vec<
 }
 
 /// Runs the advertise→measure→learn loop *inside* the campaign, guarded
-/// by `painter_core::guard`, and scores the resulting data plane as the
-/// `painter-closed-loop` strategy.
+/// by `painter_core::guard`, and returns the resulting data plane's rows
+/// (scored as the `painter-closed-loop` strategy) with what the loop did.
 ///
 /// The loop starts from the fixed plan and only ever *grows* it: when a
 /// unicast prefix stays dark for [`DARK_ITERS`] iterations, the loop
@@ -718,36 +537,23 @@ fn bystander_blast(schedule: &Schedule, rows: &[Vec<Option<PeeringId>>]) -> Vec<
 /// rate-limited installer. Post-install health that regresses beyond the
 /// guardrails triggers an automatic revert to the last-known-good plan.
 ///
-/// Repair announcements run on a dedicated engine carrying only the
-/// installer's state (plus session/leak faults, which govern whether a
-/// repair survives). The closed loop's tunnel row is the fixed plan's
-/// sampled row with repair reachability overlaid onto dark cells — the
-/// union of the two announcement sets' reachability, with the fixed
-/// plan's path preferred when both are alive. Every step is a pure
-/// function of `(spec, seed)`, so same-seed replays stay byte-identical.
-#[allow(clippy::too_many_arguments)]
+/// The installer state (repair engine, probation, rollback) is the
+/// kernel's [`RepairPlane`]; what is this loop's own is the quarantined
+/// learner, the dark-streak bookkeeping and the hysteresis-gated
+/// proposal. Every step is a pure function of `(spec, seed)`, so
+/// same-seed replays stay byte-identical.
 fn run_closed_loop(
-    world: &HarnessWorld,
-    plan: &[(PrefixId, Vec<PeeringId>)],
-    fixed_engine: &BgpEngine,
-    schedule: &Schedule,
+    control: &ControlPlane,
     timing: &ChaosTiming,
     seed: u64,
     guard: &GuardConfig,
-    base: &[f64],
-    shared: &[Vec<Option<(PeeringId, f64)>>],
-    horizon: SimTime,
-    first_fault: SimTime,
-    campaign: &str,
+    shared: &[Row],
     sink: &TraceSink,
-) -> (Scorecard, LearningStats) {
+) -> (Vec<Row>, LearningStats) {
     let ug = UgId(0);
-    let mut fixed = AdvertConfig::new();
-    for (prefix, peerings) in plan {
-        for &pe in peerings {
-            fixed.add(*prefix, pe);
-        }
-    }
+    let (world, schedule) = (control.plane.world, control.plane.schedule);
+    let plan = &world.plan;
+    let base = &control.base;
 
     // The orchestrator's view of the harness world: one UG (the stub)
     // with every deployment peering as a candidate at its converged base
@@ -785,89 +591,44 @@ fn run_closed_loop(
     let obs = painter_obs::Registry::with_event_capacity(timing.event_capacity);
     let mut quarantine = QuarantineBuffer::with_obs(guard.quarantine, obs.clone());
     let mut hysteresis = PlanHysteresis::with_obs(guard.hysteresis, obs.clone());
-    let mut rollback = RollbackGuard::with_obs(guard.rollback, obs.clone());
     quarantine.set_trace(sink.clone());
     hysteresis.set_trace(sink.clone());
-    rollback.set_trace(sink.clone());
-    let plan_trace = sink.scoped("plan");
+    let mut repair = RepairPlane::new(world, schedule, seed, guard.rollback, &obs, sink);
 
-    // The repair engine carries only installer-announced state, plus the
-    // session and leak faults that decide whether a repair survives.
-    // (PoP outages gate through the shared data-plane state; the fixed
-    // plan's own announce/withdraw events belong to the fixed engine.)
-    let dynamics = DynamicsConfig {
-        proc_delay_ms: (30.0, 400.0),
-        mrai_secs: (2.0, 8.0),
-        seed: derive_seed(seed, 4),
-    };
-    let mut repair_engine = BgpEngine::new(&world.graph, &world.deployment, dynamics, SALT);
-    for inj in schedule.injections() {
-        match inj.event {
-            FaultEvent::SessionDown { peering } => repair_engine.session_down(inj.at, peering),
-            FaultEvent::SessionUp { peering } => repair_engine.session_up(inj.at, peering),
-            FaultEvent::LeakStart { peering } => repair_engine.leak_start(inj.at, peering),
-            FaultEvent::LeakEnd { peering } => repair_engine.leak_end(inj.at, peering),
-            _ => {}
-        }
-    }
-
-    let hold_down = SimTime::from_secs(2.0);
-    let iter_len = SimTime::from_secs(ITER_SECS);
-    let mut installed = fixed.clone();
+    let iter_len = SimTime::from_secs(ITER_S);
     let mut dark_iters = vec![0u32; plan.len()];
-    let mut rows: Vec<Vec<Option<(PeeringId, f64)>>> = Vec::with_capacity(shared.len());
+    let mut rows: Vec<Row> = Vec::with_capacity(shared.len());
     let mut stats = LearningStats::default();
     let mut next_iter = SimTime::from_secs(timing.warmup_s);
-    let mut window_start_step = 0usize;
-    let mut probation = false;
-    let mut baseline_health: Option<HealthSample> = None;
+    let mut window = HealthWindow::default();
 
-    let mut dps = DataPlaneState::new(world.deployment.pops().len(), plan.len());
     for (step, shared_row) in shared.iter().enumerate() {
-        let t = SimTime::from_ms(step as f64 * SAMPLE_MS);
-        repair_engine.run_until(t);
-        dps.advance(schedule, t);
-
-        // Fixed-plan reachability first; repair overlay only onto dark
-        // cells, gated by the same administrative data-plane liveness.
-        let row: Vec<Option<(PeeringId, f64)>> = plan
-            .iter()
-            .enumerate()
-            .map(|(idx, (prefix, _))| {
-                if dps.tunnel_down(idx) {
-                    return None;
-                }
-                shared_row[idx].or_else(|| {
-                    repair_engine
-                        .current_path(world.stub, *prefix)
-                        .filter(|(_, ingress)| {
-                            !dps.pop_down(world.deployment.peering(*ingress).pop)
-                        })
-                        .and_then(|(_, ingress)| {
-                            repair_engine
-                                .current_rtt_ms(world.stub, world.stub_metro, *prefix)
-                                .map(|r| (ingress, r))
-                        })
-                })
-            })
-            .collect();
-        rows.push(row);
+        let t = sample_time(step);
+        rows.push(repair.overlay(t, shared_row));
+        let latest = &rows[step];
+        // Health is availability and p95 latency over the window's cells.
+        for cell in latest {
+            window.offered += 1.0;
+            if let Some((_, rtt)) = cell {
+                window.served += 1.0;
+                window.rtts.push(*rtt);
+            }
+        }
 
         if t < next_iter {
             continue;
         }
         next_iter += iter_len;
         stats.iterations += 1;
-        let latest = rows.last().expect("row just pushed").clone();
 
         // (1) Churn-flag the advertised ingresses of any prefix whose
         // control-plane update volume spiked this window.
         let window_start = t.saturating_sub(iter_len);
         for (prefix, _) in plan {
-            let updates = fixed_engine.updates_in_window(*prefix, window_start, t)
-                + repair_engine.updates_in_window(*prefix, window_start, t);
+            let updates = control.plane.updates_in_window(*prefix, window_start, t)
+                + repair.plane.updates_in_window(*prefix, window_start, t);
             if updates > CHURN_UPDATES {
-                for &pe in installed.peerings_of(*prefix) {
+                for &pe in repair.installed().peerings_of(*prefix) {
                     quarantine.flag_churn(pe, t);
                 }
             }
@@ -883,42 +644,11 @@ fn run_closed_loop(
                 .collect(),
         };
         stats.samples_offered += fresh.landed.len() as u64;
-        orch.learn_guarded(&installed, &fresh, &mut quarantine, t);
+        orch.learn_guarded(repair.installed(), &fresh, &mut quarantine, t);
 
-        // (3) Post-install probation: regression beyond the guardrails
-        // reverts to the last-known-good plan and arms the backoff; a
-        // healthy window proves the new plan good.
-        let health = health_of(&rows[window_start_step..]);
-        let mut reverted = false;
-        if probation {
-            if let Some(good) = rollback.check(t, &health) {
-                let ops = revert_plan(&installed, &good, hold_down);
-                stats.install_ops += ops.len() as u64;
-                apply_to_engine(&ops, &mut repair_engine, t);
-                installed = good;
-                reverted = true;
-                plan_trace.emit(
-                    t.as_nanos(),
-                    rollback.last_rollback_trace(),
-                    TraceKind::PlanRevert { pairs: installed.pair_count() as u32 },
-                );
-            } else {
-                rollback.record_good(&installed, health);
-                baseline_health = Some(health);
-            }
-            probation = false;
-        } else {
-            // Baseline ratchet: while no install is on probation, keep
-            // the last-known-good snapshot fresh as long as health holds
-            // up — so the snapshot captures the converged pre-fault plan
-            // and freezes the moment a fault drags health down.
-            let holds_up =
-                baseline_health.as_ref().map(|b| !rollback.regressed(b, &health)).unwrap_or(true);
-            if holds_up {
-                rollback.record_good(&installed, health);
-                baseline_health = Some(health);
-            }
-        }
+        // (3) Post-install probation / baseline ratchet over the window
+        // since the last round.
+        let reverted = repair.judge(t, window.take());
 
         // (4) Track sustained darkness and mark the believed-dead
         // ingresses (admitted landings clear the marks via `learn`).
@@ -939,6 +669,7 @@ fn run_closed_loop(
         // sustained-dark unicast prefix, through hysteresis and the
         // rollback guard's backoff gate.
         if !reverted {
+            let installed = repair.installed();
             let mut candidate = installed.clone();
             for idx in 1..plan.len() {
                 if dark_iters[idx] >= DARK_ITERS {
@@ -956,25 +687,12 @@ fn run_closed_loop(
             }
             let new_pairs = (candidate.pair_count() - installed.pair_count()) as f64;
             let evaluator = ConfigEvaluator::new(&orch.inputs, &orch.model);
-            let modeled_delta = evaluator.benefit(&candidate) - evaluator.benefit(&installed);
+            let modeled_delta = evaluator.benefit(&candidate) - evaluator.benefit(installed);
             let delta = modeled_delta + REPAIR_URGENCY * new_pairs;
             if let Some(commit) = hysteresis.consider_at(&candidate, delta, t) {
-                if commit != installed && rollback.can_attempt(t) {
-                    let ops = painter_core::plan(diff(&installed, &commit), hold_down);
-                    stats.install_ops += ops.len() as u64;
-                    apply_to_engine(&ops, &mut repair_engine, t);
-                    installed = commit;
-                    probation = true;
-                    let commit_ev = plan_trace.emit(
-                        t.as_nanos(),
-                        hysteresis.last_commit_trace(),
-                        TraceKind::PlanCommit { pairs: installed.pair_count() as u32 },
-                    );
-                    plan_trace.emit(t.as_nanos(), commit_ev, TraceKind::ProbationStart);
-                }
+                repair.install(t, commit, hysteresis.last_commit_trace());
             }
         }
-        window_start_step = step + 1;
     }
 
     // End-of-run bookkeeping.
@@ -984,9 +702,10 @@ fn run_closed_loop(
     stats.quarantine_held = quarantine.held_len() as u64;
     stats.hysteresis_commits = hysteresis.commits_total;
     stats.hysteresis_resets = hysteresis.resets_total;
-    stats.rollbacks = rollback.rollbacks_total;
+    stats.rollbacks = repair.rollbacks_total();
+    stats.install_ops = repair.install_ops;
     stats.plan_churn_rate = stats.install_ops as f64 / stats.iterations.max(1) as f64;
-    stats.final_pairs = installed.pair_count() as u64;
+    stats.final_pairs = repair.installed().pair_count() as u64;
     stats.dominance_learned = orch.model.dominance_count() as u64;
     stats.unreachable_marks = orch.model.unreachable_count() as u64;
     stats.events_dropped = obs.counter("obs.events_dropped").get();
@@ -1009,86 +728,7 @@ fn run_closed_loop(
     let (miss, spurious) = witnessed.skew(&believed, &world.deployment);
     stats.compliance_miss_rate = miss;
     stats.compliance_spurious_rate = spurious;
-
-    // Score the closed loop's data plane on painter's TM seed (paired
-    // experiment: bit-identical rows ⇒ bit-identical scorecards).
-    let mut tm =
-        TmSimulation::new(TmSimulationConfig { seed: derive_seed(seed, 1), ..Default::default() });
-    let tunnels = add_all_paths(&mut tm, world, plan, base);
-    let targets = tm_targets(&tunnels, base);
-    program_tm(schedule, &mut tm, &targets);
-    for (step, row) in rows.iter().enumerate() {
-        let t = SimTime::from_ms(step as f64 * SAMPLE_MS);
-        for (idx, sample) in row.iter().enumerate() {
-            match sample {
-                Some((_, rtt)) => tm.schedule_path_rtt(t, tunnels[idx], *rtt),
-                None => tm.schedule_path_down(t, tunnels[idx]),
-            }
-        }
-    }
-    let scorecard = drain_and_score(&mut tm, campaign, "painter-closed-loop", horizon, first_fault);
-    (scorecard, stats)
-}
-
-/// Availability and p95 latency over a window of sampled tunnel rows.
-fn health_of(rows: &[Vec<Option<(PeeringId, f64)>>]) -> HealthSample {
-    let mut alive = 0usize;
-    let mut total = 0usize;
-    let mut rtts: Vec<f64> = Vec::new();
-    for row in rows {
-        for cell in row {
-            total += 1;
-            if let Some((_, rtt)) = cell {
-                alive += 1;
-                rtts.push(*rtt);
-            }
-        }
-    }
-    let availability = if total == 0 { 1.0 } else { alive as f64 / total as f64 };
-    rtts.sort_by(f64::total_cmp);
-    let p95 = if rtts.is_empty() { 0.0 } else { rtts[(rtts.len() - 1) * 95 / 100] };
-    HealthSample { availability, p95_latency_ms: p95 }
-}
-
-/// Runs the sim one second past the horizon so responses to requests
-/// sent near the end can land, then scores only the in-horizon
-/// records/switches. Without the drain a strategy resting on a
-/// long-RTT path would book its final in-flight window as a spurious
-/// trailing outage.
-fn drain_and_score(
-    tm: &mut TmSimulation,
-    campaign: &str,
-    strategy: &str,
-    horizon: SimTime,
-    first_fault: SimTime,
-) -> Scorecard {
-    tm.run(SimTime::from_nanos(horizon.as_nanos() + SimTime::from_secs(1.0).as_nanos()));
-    let records: Vec<_> = tm.records().iter().filter(|r| r.sent <= horizon).copied().collect();
-    let switches: Vec<_> = tm.switch_log().iter().filter(|s| s.at <= horizon).copied().collect();
-    Scorecard::from_records(campaign, strategy, &records, &switches, first_fault)
-}
-
-fn add_all_paths(
-    tm: &mut TmSimulation,
-    world: &HarnessWorld,
-    plan: &[(PrefixId, Vec<PeeringId>)],
-    base: &[f64],
-) -> Vec<TunnelId> {
-    plan.iter()
-        .enumerate()
-        .map(|(idx, (prefix, peerings))| {
-            let pop = world.deployment.peering(peerings[0]).pop;
-            tm.add_path(*prefix, pop, base[idx])
-        })
-        .collect()
-}
-
-fn tm_targets(tunnels: &[TunnelId], base: &[f64]) -> Vec<TmTarget> {
-    tunnels
-        .iter()
-        .zip(base)
-        .map(|(&tunnel, &base_rtt_ms)| TmTarget { tunnel, base_rtt_ms })
-        .collect()
+    (rows, stats)
 }
 
 /// Injects only the overlay faults (latency, bursty loss, probe-fleet
@@ -1277,15 +917,14 @@ pub fn run_sweep(timing: &ChaosTiming, seed: u64) -> Result<(String, Vec<SweepPo
     /// Post-recovery window where fail-back switches are legitimate.
     const FAILBACK_GRACE_S: f64 = 5.0;
 
+    check_clock(&[("horizon_s", timing.horizon_s)])?;
     let world = build_world();
-    let plan = prefix_plan();
-    let view = WorldView::from_deployment(&world.deployment, plan.clone());
     let spec = ScenarioSpec::new("blackhole-sweep", timing.horizon_s).fault(
         FaultSpec::new("bh1", FaultKind::LinkBlackhole, Target::Tunnel(1))
             .at(timing.fault_at_s)
             .lasting(FAULT_SECS),
     );
-    let schedule = Schedule::compile(&spec, &view, seed)?;
+    let schedule = Schedule::compile(&spec, &world.view(), seed)?;
     let fault_at = schedule.first_at().ok_or("sweep schedule has no injections")?;
     let fault_end = fault_at + SimTime::from_secs(FAULT_SECS);
     let grace_end = fault_end + SimTime::from_secs(FAILBACK_GRACE_S);
@@ -1303,21 +942,11 @@ pub fn run_sweep(timing: &ChaosTiming, seed: u64) -> Result<(String, Vec<SweepPo
                 config.edge.timeout_factor = timeout_factor;
                 config.edge.dead_rto_ms = dead_rto_ms;
                 let mut tm = TmSimulation::new(config);
-                let tunnels: Vec<TunnelId> = plan
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, (prefix, peerings))| {
-                        let pop = world.deployment.peering(peerings[0]).pop;
-                        tm.add_path(*prefix, pop, BASE[idx])
-                    })
-                    .collect();
-                let targets: Vec<TmTarget> = tunnels
-                    .iter()
-                    .zip(BASE)
-                    .map(|(&tunnel, base_rtt_ms)| TmTarget { tunnel, base_rtt_ms })
-                    .collect();
+                let targets = add_tunnels(&mut tm, &world, &BASE);
                 program_tm(&schedule, &mut tm, &targets);
-                tm.run(horizon + SimTime::from_secs(1.0));
+                let availability =
+                    drain_and_score(&mut tm, &spec.name, "painter", horizon, fault_at)
+                        .availability();
 
                 let detection_ms = tm
                     .switch_log()
@@ -1325,7 +954,7 @@ pub fn run_sweep(timing: &ChaosTiming, seed: u64) -> Result<(String, Vec<SweepPo
                     .find(|s| s.at >= fault_at)
                     .map(|s| (s.at - fault_at).as_ms())
                     .unwrap_or(-1.0);
-                let faulted = plan[1].0;
+                let faulted = world.plan[1].0;
                 let recovery_ms = tm
                     .switch_log()
                     .iter()
@@ -1341,10 +970,6 @@ pub fn run_sweep(timing: &ChaosTiming, seed: u64) -> Result<(String, Vec<SweepPo
                     .filter(|s| s.at > SimTime::from_secs(1.0) && s.at <= horizon)
                     .filter(|s| s.at < fault_at || s.at > grace_end)
                     .count() as u64;
-                let records: Vec<_> = tm.records().iter().filter(|r| r.sent <= horizon).collect();
-                let completed = records.iter().filter(|r| r.completed.is_some()).count();
-                let availability =
-                    if records.is_empty() { 1.0 } else { completed as f64 / records.len() as f64 };
                 points.push(SweepPoint {
                     probe_interval_ms,
                     timeout_factor,
@@ -1628,9 +1253,23 @@ mod tests {
     }
 
     #[test]
+    fn hostile_clocks_are_rejected_not_panicked_on() {
+        let (spec, timing) = pop_outage();
+        // An infinite horizon used to saturate the step count and abort
+        // in `Vec::with_capacity`.
+        let endless = ChaosTiming { horizon_s: f64::INFINITY, ..timing };
+        let err = run_campaign(&spec, &endless, 1).unwrap_err();
+        assert!(err.contains("horizon_s"), "{err}");
+        assert!(run_sweep(&endless, 1).unwrap_err().contains("horizon_s"));
+        let err =
+            run_campaign(&spec, &ChaosTiming { warmup_s: f64::NAN, ..timing }, 1).unwrap_err();
+        assert!(err.contains("warmup_s"), "{err}");
+    }
+
+    #[test]
     fn standard_suite_compiles_against_the_harness_world() {
         let timing = ChaosTiming::for_scale(Scale::Test);
-        let view = WorldView::from_deployment(&build_world().deployment, prefix_plan());
+        let view = harness_world_view();
         for spec in standard_suite(&timing) {
             let s = Schedule::compile(&spec, &view, 1).expect("compile");
             assert!(!s.injections().is_empty(), "{} is empty", spec.name);

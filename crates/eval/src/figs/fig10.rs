@@ -11,115 +11,41 @@
 //!   reconverge (visible as a RIPE RIS update spike);
 //! * DNS-based failover would take ~60 s (TTL-bound).
 //!
-//! The BGP side runs on the event-driven engine; its per-prefix
-//! reachability/latency is sampled onto the Traffic Manager simulation's
-//! channel schedule.
+//! The world and the prefix plan are the campaign kernel's
+//! (`campaign.rs`); the figure keeps its own engine because its
+//! withdrawals are hand-staggered rather than compiled from a schedule,
+//! and samples per-prefix reachability/latency onto the Traffic Manager
+//! simulation's channel schedule itself to record the plotted series.
 
-use crate::scenario::{Scale, SALT};
+use crate::campaign::{
+    add_tunnels, build_world, dynamics, sample_time, ANYCAST_OVERHEAD_MS, SAMPLE_MS,
+};
+use crate::scenario::Scale;
 use crate::{Figure, Series};
-use painter_bgp::dynamics::{BgpEngine, DynamicsConfig};
 use painter_bgp::PrefixId;
 use painter_eventsim::SimTime;
-use painter_geo::{metro, Region};
-use painter_tm::{TmSimulation, TmSimulationConfig, TunnelId};
-use painter_topology::{AsGraph, AsTier, Deployment, PeeringId, PeeringKind, PopId, Relationship};
+use painter_tm::{TmSimulation, TmSimulationConfig};
+use painter_topology::PopId;
 
 /// Wall-clock length of the experiment (the paper plots 0–130 s).
 const HORIZON_S: f64 = 130.0;
 /// PoP-A fails at this time.
 const FAIL_AT_S: f64 = 60.0;
-/// Sampling grid for coupling BGP state into the TM channels.
-const SAMPLE_MS: f64 = 25.0;
-/// Extra RTT on the anycast path: anycast terminates on the shared
-/// front-end VIP (an extra indirection the dedicated tunnel addresses
-/// skip), which is also why the paper's prototype finds the unicast
-/// prefix "lower latency than the default anycast path".
-const ANYCAST_OVERHEAD_MS: f64 = 4.0;
-
-struct Fig10World {
-    graph: AsGraph,
-    deployment: Deployment,
-    stub: painter_topology::AsId,
-    stub_metro: painter_geo::MetroId,
-}
-
-/// Two PoPs (New York = PoP-A, London = PoP-B), two transit ISPs present
-/// at both, and an enterprise stub in New York reaching them through two
-/// regional access ISPs. The regional tier matters: replacement routes
-/// after the withdrawal must be *announced* down the chain (MRAI-gated),
-/// which is what stretches anycast reconvergence to many seconds in the
-/// paper's RIS data. A handful of bystander networks multiplies the
-/// update churn the collectors see.
-fn build_world() -> Fig10World {
-    let ny = painter_geo::metro::all_metro_ids()
-        .find(|&m| metro(m).name == "New York")
-        .expect("metro db");
-    let lon =
-        painter_geo::metro::all_metro_ids().find(|&m| metro(m).name == "London").expect("metro db");
-    let mut graph = AsGraph::new();
-    let isp1 = graph.add_node(AsTier::Tier1, Region::NorthAmerica, vec![ny, lon], 1.05);
-    let isp2 = graph.add_node(AsTier::Tier1, Region::Europe, vec![ny, lon], 1.15);
-    let acc1 = graph.add_node(AsTier::Access, Region::NorthAmerica, vec![ny], 1.0);
-    let acc2 = graph.add_node(AsTier::Access, Region::NorthAmerica, vec![ny], 1.1);
-    let stub = graph.add_node(AsTier::Stub, Region::NorthAmerica, vec![ny], 1.0);
-    graph.add_link(isp1, isp2, Relationship::PeerWith).expect("new link");
-    graph.add_link(isp1, acc1, Relationship::ProviderOf).expect("new link");
-    graph.add_link(isp2, acc1, Relationship::ProviderOf).expect("new link");
-    graph.add_link(isp1, acc2, Relationship::ProviderOf).expect("new link");
-    graph.add_link(isp2, acc2, Relationship::ProviderOf).expect("new link");
-    graph.add_link(acc1, stub, Relationship::ProviderOf).expect("new link");
-    graph.add_link(acc2, stub, Relationship::ProviderOf).expect("new link");
-    // Bystander customer networks that also receive updates (churn).
-    for i in 0..8 {
-        let bystander = graph.add_node(AsTier::Stub, Region::NorthAmerica, vec![ny], 1.0);
-        let upstream = if i % 2 == 0 { acc1 } else { acc2 };
-        graph.add_link(upstream, bystander, Relationship::ProviderOf).expect("new link");
-    }
-    let deployment = Deployment::from_parts(
-        vec![ny, lon],
-        vec![
-            (0, isp1, PeeringKind::TransitProvider), // peering 0: PoP-A/ISP1
-            (0, isp2, PeeringKind::TransitProvider), // peering 1: PoP-A/ISP2
-            (1, isp1, PeeringKind::TransitProvider), // peering 2: PoP-B/ISP1
-            (1, isp2, PeeringKind::TransitProvider), // peering 3: PoP-B/ISP2
-        ],
-    );
-    Fig10World { graph, deployment, stub, stub_metro: ny }
-}
-
-/// The five prefixes: anycast via everything, then one per peering.
-fn prefix_plan() -> Vec<(PrefixId, Vec<PeeringId>)> {
-    vec![
-        (PrefixId(0), vec![PeeringId(0), PeeringId(1), PeeringId(2), PeeringId(3)]),
-        (PrefixId(1), vec![PeeringId(0)]),
-        (PrefixId(2), vec![PeeringId(1)]),
-        (PrefixId(3), vec![PeeringId(2)]),
-        (PrefixId(4), vec![PeeringId(3)]),
-    ]
-}
 
 /// Runs the failover experiment.
 pub fn run(_scale: Scale) -> Figure {
     let world = build_world();
-    let plan = prefix_plan();
+    let plan = &world.plan;
 
     // --- BGP side: announce everything at t=0, withdraw PoP-A at 60 s.
-    // Busy edge routers: hundreds of ms of per-message processing, the
-    // dominant term in real-world withdrawal propagation.
-    let dynamics = DynamicsConfig { proc_delay_ms: (30.0, 400.0), mrai_secs: (2.0, 8.0), seed: 10 };
-    let mut engine = BgpEngine::new(&world.graph, &world.deployment, dynamics, SALT);
-    for (prefix, peerings) in &plan {
-        for &pe in peerings {
-            engine.announce(SimTime::ZERO, *prefix, pe);
-        }
-    }
+    let mut engine = world.announced_engine(dynamics(10));
     // A PoP failure is not one atomic event: each BGP session notices on
     // its own failure-detection timer, so the withdrawals reach neighbors
     // staggered over a few seconds — this is what smears the RIS update
     // spike in the paper's figure.
     let fail_at = SimTime::from_secs(FAIL_AT_S);
     let mut stagger = 0u32;
-    for (prefix, peerings) in &plan {
+    for (prefix, peerings) in plan {
         for &pe in peerings {
             if world.deployment.peering(pe).pop == PopId(0) {
                 let detect = SimTime::from_ms(700.0 * (stagger % 4) as f64);
@@ -131,19 +57,9 @@ pub fn run(_scale: Scale) -> Figure {
 
     // --- Sample BGP state onto the TM channel schedule.
     let mut tm = TmSimulation::new(TmSimulationConfig { seed: 10, ..Default::default() });
-    let mut tunnels: Vec<(PrefixId, TunnelId)> = Vec::new();
     // Seed tunnels with their initial RTTs once the engine settles.
     engine.run_until(SimTime::from_secs(30.0));
-    for (prefix, peerings) in &plan {
-        let overhead = if prefix.0 == 0 { ANYCAST_OVERHEAD_MS } else { 0.0 };
-        let rtt = engine
-            .current_rtt_ms(world.stub, world.stub_metro, *prefix)
-            .map(|r| r + overhead)
-            .unwrap_or(100.0);
-        let pop = world.deployment.peering(peerings[0]).pop;
-        let id = tm.add_path(*prefix, pop, rtt);
-        tunnels.push((*prefix, id));
-    }
+    let tunnels = add_tunnels(&mut tm, &world, &world.base_rtts(&engine, ANYCAST_OVERHEAD_MS));
     // BGP-state samples become TM path-change events, and the per-prefix
     // RTT series of the figure.
     let mut rtt_series: Vec<(PrefixId, Vec<(f64, f64)>)> =
@@ -151,9 +67,9 @@ pub fn run(_scale: Scale) -> Figure {
     let mut anycast_down_window: (Option<f64>, Option<f64>) = (None, None);
     let steps = (HORIZON_S * 1000.0 / SAMPLE_MS) as usize;
     for step in 0..=steps {
-        let t = SimTime::from_ms(step as f64 * SAMPLE_MS);
+        let t = sample_time(step);
         engine.run_until(t);
-        for ((prefix, tunnel), (_, series)) in tunnels.iter().zip(rtt_series.iter_mut()) {
+        for (target, (prefix, series)) in tunnels.iter().zip(rtt_series.iter_mut()) {
             let overhead = if prefix.0 == 0 { ANYCAST_OVERHEAD_MS } else { 0.0 };
             // Data plane: once PoP-A is down, any path whose ingress is
             // PoP-A blackholes immediately, even while its BGP session is
@@ -167,7 +83,7 @@ pub fn run(_scale: Scale) -> Figure {
                 .map(|r| r + overhead);
             match state {
                 Some(rtt) => {
-                    tm.schedule_path_rtt(t, *tunnel, rtt);
+                    tm.schedule_path_rtt(t, target.tunnel, rtt);
                     series.push((t.as_secs(), rtt));
                     if *prefix == PrefixId(0)
                         && anycast_down_window.0.is_some()
@@ -177,7 +93,7 @@ pub fn run(_scale: Scale) -> Figure {
                     }
                 }
                 None => {
-                    tm.schedule_path_down(t, *tunnel);
+                    tm.schedule_path_down(t, target.tunnel);
                     if *prefix == PrefixId(0) && t >= fail_at && anycast_down_window.0.is_none() {
                         anycast_down_window.0 = Some(t.as_secs());
                     }

@@ -9,6 +9,7 @@
 //! Every harness accepts a [`Scale`]: `Test` runs in seconds for CI,
 //! `Paper` uses evaluation-size inputs (run in release).
 
+mod campaign;
 pub mod chaos;
 pub mod chaos_search;
 pub mod figs;

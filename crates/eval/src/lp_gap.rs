@@ -28,7 +28,7 @@
 //! tunnel sets and a deterministic packet train runs through
 //! [`MultipathScheduler`] against a latency-only scheduler, closing the
 //! promise-vs-delivery loop in the `lp.delivered` section. Everything
-//! downstream of the seed is deterministic; the `lp-gap-smoke` CI job
+//! downstream of the seed is deterministic; the `replay-determinism` CI job
 //! byte-compares two same-seed runs.
 
 use crate::helpers::world_direct;

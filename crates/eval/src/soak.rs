@@ -32,39 +32,31 @@
 //! the winner's mutual-exclusion window, and repeat losers serve a
 //! bounded backoff during which their bids are rejected unscored. Every
 //! verdict is traced through the flight recorder (`guard.arbiter_*`).
+//! The world, the control plane and the installer state (overlay,
+//! probation, rollback) are the campaign kernel's (`campaign.rs`); this
+//! module keeps the demand-weighted scoring, the probe-blind rounds and
+//! the arbiter bids.
 //!
 //! Determinism: the world, the compiled schedule, the rotator phases,
 //! the surge cohorts, and every arbitration round are pure functions of
 //! `(scale, seed)`; [`SoakOutcome::sections`] — including the FNV-1a
 //! digest of the per-tick served/weight stream — is byte-identical
-//! across same-seed reruns. `tests` below and the CI soak-smoke job
-//! both pin that contract.
+//! across same-seed reruns. `tests` below and the CI `replay-determinism`
+//! job both pin that contract.
 
-use crate::chaos::{build_world, prefix_plan};
-use crate::scenario::{Scale, SALT};
-use painter_bgp::dynamics::{BgpEngine, DynamicsConfig};
-use painter_bgp::AdvertConfig;
-use painter_chaos::{
-    program_bgp_traced, trace_fault_spans, DataPlaneState, FaultEvent, FaultKind, FaultSpec,
-    ScenarioSpec, Schedule, Target, WorldView,
+use crate::campaign::{
+    build_world, check_clock, ControlPlane, HealthWindow, RepairPlane, DARK_ITERS, ITER_S,
 };
-use painter_core::{
-    apply_to_engine, diff, revert_plan, ArbiterConfig, ArbiterVerdict, GuardConfig, HealthSample,
-    RepairArbiter, RepairBid, RollbackGuard,
-};
+use crate::scenario::Scale;
+use painter_chaos::{FaultEvent, FaultKind, FaultSpec, ScenarioSpec, Schedule, Target};
+use painter_core::{ArbiterConfig, ArbiterVerdict, GuardConfig, RepairArbiter, RepairBid};
 use painter_eventsim::{derive_seed, SimRng, SimTime};
-use painter_obs::{Section, TraceKind, TraceSink};
-use painter_topology::PeeringId;
+use painter_obs::{Fnv1a, Section, TraceSink};
 
 /// Sampling tick of the soak model loop (seconds). Coarser than the
 /// chaos harness's 25 ms grid: a soak trades per-request fidelity for
 /// days of horizon.
 const TICK_S: f64 = 1.0;
-/// Repair-monitor cadence (seconds): one observe→propose→arbitrate
-/// round per this much virtual time.
-const ITER_S: f64 = 6.0;
-/// Consecutive dark monitor rounds before a UG's engine bids a repair.
-const DARK_ITERS: u32 = 2;
 /// BGP warm-up before ticks start counting toward availability.
 const WARMUP_S: f64 = 30.0;
 /// Probe-dark fraction at or above which the monitors are blind (no
@@ -127,7 +119,7 @@ impl SoakConfig {
 }
 
 /// Per-day scorecard of one soak campaign.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SoakDayStats {
     pub day: u32,
     /// Demand-weighted availability of the fixed plan (primary prefix
@@ -346,20 +338,15 @@ impl ProbeCursor {
     }
 }
 
-/// FNV-1a 64 over a byte stream (same parameters as the schedule's
-/// trace digest).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+/// Outage-run tracking for one UG: `run` counts consecutive dark ticks,
+/// and a run is booked into `worst_ttr_s` of the day it *ends* in (or the
+/// last day at the horizon).
+fn note_run(run: &mut usize, served: bool, worst_ttr_s: &mut f64) {
+    if !served {
+        *run += 1;
+    } else if *run > 0 {
+        *worst_ttr_s = worst_ttr_s.max(*run as f64 * TICK_S);
+        *run = 0;
     }
 }
 
@@ -371,11 +358,14 @@ pub fn run_soak(scale: Scale, seed: u64) -> Result<SoakOutcome, String> {
 
 /// [`run_soak`] with an explicit campaign shape.
 pub fn run_soak_with_config(config: &SoakConfig, seed: u64) -> Result<SoakOutcome, String> {
+    if config.days == 0 {
+        return Err("days must be at least 1, got 0".to_string());
+    }
+    check_clock(&[("day_s", config.day_s)])?;
     let world = build_world();
-    let plan = prefix_plan();
-    let view = WorldView::from_deployment(&world.deployment, plan.clone());
+    let plan = &world.plan;
     let spec = soak_spec(config);
-    let schedule = Schedule::compile(&spec, &view, seed)?;
+    let schedule = Schedule::compile(&spec, &world.view(), seed)?;
     let horizon_s = config.horizon_s();
 
     // One UG per New York unicast prefix plus one on London: primaries
@@ -394,62 +384,19 @@ pub fn run_soak_with_config(config: &SoakConfig, seed: u64) -> Result<SoakOutcom
     let surge_ugs: Vec<u32> =
         (0..config.days).map(|_| (surge_rng.unit() * n_ugs as f64) as u32 % n_ugs as u32).collect();
 
-    // --- Flight recorder + control plane, exactly the chaos harness's
-    // shape: one fixed engine carrying the schedule, one repair engine
-    // carrying only installer-announced state plus session/leak faults.
+    // --- Flight recorder, control plane and repair plane, exactly the
+    // chaos harness's shape (no anycast overhead: the soak scores
+    // reachability, not the anycast-vs-unicast latency gap). The guard
+    // layer is one shared rollback guard over the shared plan (inside the
+    // repair plane) and one arbiter over the per-UG monitors, all
+    // reporting into one bounded obs ring and the flight recorder.
     let sink = TraceSink::recording();
-    let spans = trace_fault_spans(&schedule, &sink);
-    let dynamics = DynamicsConfig { proc_delay_ms: (30.0, 400.0), mrai_secs: (2.0, 8.0), seed };
-    let mut engine = BgpEngine::new(&world.graph, &world.deployment, dynamics, SALT);
-    engine.set_trace(sink.clone());
-    let mut fixed = AdvertConfig::new();
-    for (prefix, peerings) in &plan {
-        for &pe in peerings {
-            fixed.add(*prefix, pe);
-            engine.announce(SimTime::ZERO, *prefix, pe);
-        }
-    }
-    program_bgp_traced(&schedule, &mut engine, &spans);
-    engine.run_until(SimTime::from_secs(WARMUP_S));
-    let base: Vec<f64> = plan
-        .iter()
-        .map(|(prefix, _)| {
-            engine.current_rtt_ms(world.stub, world.stub_metro, *prefix).unwrap_or(100.0)
-        })
-        .collect();
-
-    let repair_dynamics = DynamicsConfig {
-        proc_delay_ms: (30.0, 400.0),
-        mrai_secs: (2.0, 8.0),
-        seed: derive_seed(seed, 4),
-    };
-    let mut repair_engine = BgpEngine::new(&world.graph, &world.deployment, repair_dynamics, SALT);
-    for inj in schedule.injections() {
-        match inj.event {
-            FaultEvent::SessionDown { peering } => repair_engine.session_down(inj.at, peering),
-            FaultEvent::SessionUp { peering } => repair_engine.session_up(inj.at, peering),
-            FaultEvent::LeakStart { peering } => repair_engine.leak_start(inj.at, peering),
-            FaultEvent::LeakEnd { peering } => repair_engine.leak_end(inj.at, peering),
-            _ => {}
-        }
-    }
-
-    // --- Guard layer: one shared rollback guard over the shared plan,
-    // one arbiter over the per-UG monitors, all reporting into one
-    // bounded obs ring and the flight recorder.
+    let mut control = ControlPlane::new(&world, &schedule, seed, WARMUP_S, 0.0, &sink);
     let obs = painter_obs::Registry::with_event_capacity(config.event_capacity);
-    let mut rollback = RollbackGuard::with_obs(config.guard.rollback, obs.clone());
-    rollback.set_trace(sink.clone());
+    let mut repair = RepairPlane::new(&world, &schedule, seed, config.guard.rollback, &obs, &sink);
     let mut arbiter = RepairArbiter::with_obs(config.arbiter, obs.clone());
     arbiter.set_trace(sink.clone());
-    let plan_trace = sink.scoped("plan");
-
-    let hold_down = SimTime::from_secs(2.0);
-    let mut installed = fixed.clone();
-    let mut probation = false;
-    let mut baseline_health: Option<HealthSample> = None;
     let mut probe = ProbeCursor::new(&schedule);
-    let mut dps = DataPlaneState::new(world.deployment.pops().len(), plan.len());
 
     let steps = (horizon_s / TICK_S) as usize;
     let iter_ticks = (ITER_S / TICK_S).max(1.0) as usize;
@@ -461,25 +408,11 @@ pub fn run_soak_with_config(config: &SoakConfig, seed: u64) -> Result<SoakOutcom
     let mut last_lit = vec![true; plan.len()];
     let mut dark_run_fixed = vec![0usize; n_ugs];
     let mut dark_run_loop = vec![0usize; n_ugs];
-    let mut window_rtts: Vec<f64> = Vec::new();
-    let mut window_served = 0.0f64;
-    let mut window_total = 0.0f64;
+    let mut window = HealthWindow::default();
     let mut digest = Fnv1a::new();
 
     let mut day_stats: Vec<SoakDayStats> = (0..config.days)
-        .map(|day| SoakDayStats {
-            day,
-            availability_fixed: 0.0,
-            availability_loop: 0.0,
-            worst_ttr_fixed_s: 0.0,
-            worst_ttr_loop_s: 0.0,
-            arbiter_wins: 0,
-            arbiter_deferrals: 0,
-            arbiter_rejections: 0,
-            commits: 0,
-            rollbacks: 0,
-            surge_ug: surge_ugs[day as usize],
-        })
+        .map(|day| SoakDayStats { day, surge_ug: surge_ugs[day as usize], ..Default::default() })
         .collect();
     let mut day_ticks = vec![0u64; config.days as usize];
     let mut conflict_rounds = 0u64;
@@ -488,51 +421,13 @@ pub fn run_soak_with_config(config: &SoakConfig, seed: u64) -> Result<SoakOutcom
     for step in 0..steps {
         let t = SimTime::from_secs(step as f64 * TICK_S);
         let day = (step / ticks_per_day).min(config.days as usize - 1);
-        engine.run_until(t);
-        repair_engine.run_until(t);
-        dps.advance(&schedule, t);
-        let probe_fraction = probe.advance(t);
-        let blind = probe_fraction >= BLIND_FRACTION;
-
-        // Fixed-plan reachability per in-plan prefix, gated by
-        // administrative data-plane liveness (same law as the chaos
-        // harness).
-        let row: Vec<Option<(PeeringId, f64)>> = plan
-            .iter()
-            .enumerate()
-            .map(|(idx, (prefix, _))| {
-                if dps.tunnel_down(idx) {
-                    return None;
-                }
-                engine
-                    .current_path(world.stub, *prefix)
-                    .filter(|(_, ingress)| !dps.pop_down(world.deployment.peering(*ingress).pop))
-                    .and_then(|(_, ingress)| {
-                        engine
-                            .current_rtt_ms(world.stub, world.stub_metro, *prefix)
-                            .map(|r| (ingress, r))
-                    })
-            })
-            .collect();
-        // Repair overlay onto dark cells only, through the repair
-        // engine's installer-announced state.
-        let overlay: Vec<Option<(PeeringId, f64)>> = plan
-            .iter()
-            .enumerate()
-            .map(|(idx, (prefix, _))| {
-                if row[idx].is_some() || dps.tunnel_down(idx) {
-                    return None;
-                }
-                repair_engine
-                    .current_path(world.stub, *prefix)
-                    .filter(|(_, ingress)| !dps.pop_down(world.deployment.peering(*ingress).pop))
-                    .and_then(|(_, ingress)| {
-                        repair_engine
-                            .current_rtt_ms(world.stub, world.stub_metro, *prefix)
-                            .map(|r| (ingress, r))
-                    })
-            })
-            .collect();
+        // Fixed-plan reachability per in-plan prefix, then the repair
+        // overlay onto its dark cells. Both planes are stepped every
+        // tick and the rows are consumed at once: a soak streams days of
+        // ticks instead of storing them.
+        let row = control.sample(t);
+        let repaired = repair.overlay(t, &row);
+        let blind = probe.advance(t) >= BLIND_FRACTION;
 
         // Demand weights this tick: diurnal rotation plus the day's
         // surge cohort (a flash crowd adds mass; it is not renormalized
@@ -552,47 +447,28 @@ pub fn run_soak_with_config(config: &SoakConfig, seed: u64) -> Result<SoakOutcom
         let mut served_loop = 0.0f64;
         for (u, &pidx) in primaries.iter().enumerate() {
             let fixed_ok = row[pidx].is_some() || row[0].is_some();
-            let loop_ok = fixed_ok || overlay[pidx].is_some();
+            let loop_ok = fixed_ok || repaired[pidx].is_some();
             if fixed_ok {
                 served_fixed += weights[u];
             }
             if loop_ok {
                 served_loop += weights[u];
-                if let Some((_, rtt)) = row[pidx].or(row[0]).or(overlay[pidx]) {
-                    window_rtts.push(rtt);
+                if let Some((_, rtt)) = row[pidx].or(row[0]).or(repaired[pidx]) {
+                    window.rtts.push(rtt);
                 }
             }
             if scoring {
-                // Outage-run tracking: a run is attributed to the day it
-                // *ends* in (or the last day at the horizon).
-                if fixed_ok {
-                    if dark_run_fixed[u] > 0 {
-                        let ttr = dark_run_fixed[u] as f64 * TICK_S;
-                        let d = &mut day_stats[day];
-                        d.worst_ttr_fixed_s = d.worst_ttr_fixed_s.max(ttr);
-                        dark_run_fixed[u] = 0;
-                    }
-                } else {
-                    dark_run_fixed[u] += 1;
-                }
-                if loop_ok {
-                    if dark_run_loop[u] > 0 {
-                        let ttr = dark_run_loop[u] as f64 * TICK_S;
-                        let d = &mut day_stats[day];
-                        d.worst_ttr_loop_s = d.worst_ttr_loop_s.max(ttr);
-                        dark_run_loop[u] = 0;
-                    }
-                } else {
-                    dark_run_loop[u] += 1;
-                }
+                let stats = &mut day_stats[day];
+                note_run(&mut dark_run_fixed[u], fixed_ok, &mut stats.worst_ttr_fixed_s);
+                note_run(&mut dark_run_loop[u], loop_ok, &mut stats.worst_ttr_loop_s);
             }
         }
         if scoring {
             day_stats[day].availability_fixed += served_fixed / total;
             day_stats[day].availability_loop += served_loop / total;
             day_ticks[day] += 1;
-            window_served += served_loop;
-            window_total += total;
+            window.served += served_loop;
+            window.offered += total;
             // The byte-replay receipt: served masses and weights, to the
             // bit, every scored tick.
             digest.update(&served_fixed.to_bits().to_le_bytes());
@@ -620,63 +496,20 @@ pub fn run_soak_with_config(config: &SoakConfig, seed: u64) -> Result<SoakOutcom
         if blind {
             // Probe-dark pulse: no fresh evidence, so no dark-count
             // advance, no bids, and no probation verdict this round.
-            window_rtts.clear();
-            window_served = 0.0;
-            window_total = 0.0;
+            window.take();
             continue;
         }
 
         // Window health feeds probation / the baseline ratchet.
-        let availability = if window_total > 0.0 { window_served / window_total } else { 1.0 };
-        window_rtts.sort_by(f64::total_cmp);
-        let p95 = if window_rtts.is_empty() {
-            0.0
-        } else {
-            window_rtts[(window_rtts.len() - 1) * 95 / 100]
-        };
-        let health = HealthSample { availability, p95_latency_ms: p95 };
-        window_rtts.clear();
-        window_served = 0.0;
-        window_total = 0.0;
-        let mut reverted = false;
-        if probation {
-            if let Some(good) = rollback.check(t, &health) {
-                let ops = revert_plan(&installed, &good, hold_down);
-                apply_to_engine(&ops, &mut repair_engine, t);
-                installed = good;
-                reverted = true;
-                day_stats[day].rollbacks += 1;
-                plan_trace.emit(
-                    t.as_nanos(),
-                    rollback.last_rollback_trace(),
-                    TraceKind::PlanRevert { pairs: installed.pair_count() as u32 },
-                );
-            } else {
-                rollback.record_good(&installed, health);
-                baseline_health = Some(health);
-            }
-            probation = false;
-        } else {
-            let holds_up =
-                baseline_health.as_ref().map(|b| !rollback.regressed(b, &health)).unwrap_or(true);
-            if holds_up {
-                rollback.record_good(&installed, health);
-                baseline_health = Some(health);
-            }
+        let reverted = repair.judge(t, window.take());
+        if reverted {
+            day_stats[day].rollbacks += 1;
         }
 
         // Per-UG dark tracking and conflicting bids.
-        let weights_now = {
-            let mut w = rotator.weights(step as f64 * TICK_S, &base_weights);
-            if surge_active {
-                w[surge_ugs[day] as usize] *= config.surge_factor;
-            }
-            w
-        };
-        let total_now: f64 = weights_now.iter().sum();
         let mut bids: Vec<RepairBid> = Vec::new();
         for (u, &pidx) in primaries.iter().enumerate() {
-            let dark = row[pidx].is_none() && overlay[pidx].is_none();
+            let dark = repaired[pidx].is_none();
             if dark {
                 dark_iters[u] += 1;
             } else {
@@ -686,20 +519,20 @@ pub fn run_soak_with_config(config: &SoakConfig, seed: u64) -> Result<SoakOutcom
                 continue;
             }
             let prefix = plan[pidx].0;
-            let mut candidate = installed.clone();
+            let mut candidate = repair.installed().clone();
             let pick = world
                 .deployment
                 .peerings()
                 .iter()
-                .filter(|p| !dps.pop_down(p.pop))
+                .filter(|p| !repair.plane.pop_down(p.pop))
                 .filter(|p| !candidate.contains(prefix, p.id))
-                .map(|p| (p.id, base[p.id.idx() + 1]))
+                .map(|p| (p.id, control.base[p.id.idx() + 1]))
                 .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             let Some((pe, _)) = pick else { continue };
             candidate.add(prefix, pe);
             bids.push(RepairBid {
                 engine: u as u32,
-                benefit: BENEFIT_SCALE * weights_now[u] / total_now,
+                benefit: BENEFIT_SCALE * weights[u] / total,
                 risk: flap_memory[pidx],
                 candidate,
             });
@@ -719,36 +552,19 @@ pub fn run_soak_with_config(config: &SoakConfig, seed: u64) -> Result<SoakOutcom
             }
         }
         if let Some(win) = RepairArbiter::winner(&verdicts) {
-            let commit = bids[win].candidate.clone();
-            if commit != installed && rollback.can_attempt(t) {
-                let ops = painter_core::plan(diff(&installed, &commit), hold_down);
-                apply_to_engine(&ops, &mut repair_engine, t);
-                installed = commit;
-                probation = true;
+            if repair.install(t, bids[win].candidate.clone(), arbiter.last_win_trace()) {
                 commits_total += 1;
                 day_stats[day].commits += 1;
                 dark_iters[bids[win].engine as usize] = 0;
-                let commit_ev = plan_trace.emit(
-                    t.as_nanos(),
-                    arbiter.last_win_trace(),
-                    TraceKind::PlanCommit { pairs: installed.pair_count() as u32 },
-                );
-                plan_trace.emit(t.as_nanos(), commit_ev, TraceKind::ProbationStart);
             }
         }
     }
 
     // Close any outage runs still open at the horizon.
+    let last = &mut day_stats[config.days as usize - 1];
     for u in 0..n_ugs {
-        let last = config.days as usize - 1;
-        if dark_run_fixed[u] > 0 {
-            let ttr = dark_run_fixed[u] as f64 * TICK_S;
-            day_stats[last].worst_ttr_fixed_s = day_stats[last].worst_ttr_fixed_s.max(ttr);
-        }
-        if dark_run_loop[u] > 0 {
-            let ttr = dark_run_loop[u] as f64 * TICK_S;
-            day_stats[last].worst_ttr_loop_s = day_stats[last].worst_ttr_loop_s.max(ttr);
-        }
+        note_run(&mut dark_run_fixed[u], true, &mut last.worst_ttr_fixed_s);
+        note_run(&mut dark_run_loop[u], true, &mut last.worst_ttr_loop_s);
     }
     for (day, stats) in day_stats.iter_mut().enumerate() {
         let ticks = day_ticks[day].max(1) as f64;
@@ -764,14 +580,14 @@ pub fn run_soak_with_config(config: &SoakConfig, seed: u64) -> Result<SoakOutcom
         ugs: n_ugs as u32,
         spec_json: spec.to_json(),
         trace_fnv1a: schedule.trace_digest(),
-        rows_fnv1a: digest.0,
+        rows_fnv1a: digest.finish(),
         wins_total: day_stats.iter().map(|d| d.arbiter_wins).sum(),
         deferrals_total: day_stats.iter().map(|d| d.arbiter_deferrals).sum(),
         rejections_total: day_stats.iter().map(|d| d.arbiter_rejections).sum(),
         conflict_rounds,
         commits_total,
-        rollbacks_total: rollback.rollbacks_total,
-        final_pairs: installed.pair_count() as u64,
+        rollbacks_total: repair.rollbacks_total(),
+        final_pairs: repair.installed().pair_count() as u64,
         events_recorded: sink.events().len() as u64,
         events_dropped: obs.counter("obs.events_dropped").get(),
         day_stats,
@@ -832,6 +648,18 @@ mod tests {
             assert!((0.0..=1.0).contains(&d.availability_loop));
             assert!(d.availability_loop >= d.availability_fixed - 1e-12);
             assert!(d.worst_ttr_fixed_s >= 0.0 && d.worst_ttr_loop_s >= 0.0);
+        }
+    }
+
+    #[test]
+    fn hostile_clocks_are_rejected_not_panicked_on() {
+        let config = SoakConfig::for_scale(Scale::Test);
+        // Zero days used to underflow `days - 1` in the close-out loop.
+        let err = run_soak_with_config(&SoakConfig { days: 0, ..config }, 1).unwrap_err();
+        assert!(err.contains("days"), "{err}");
+        for day_s in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let err = run_soak_with_config(&SoakConfig { day_s, ..config }, 1).unwrap_err();
+            assert!(err.contains("day_s"), "{err}");
         }
     }
 
