@@ -21,13 +21,14 @@
 //! The arena is a *view* optimized for scoring — [`OrchestratorInputs`]
 //! remains the source of truth and the mutation surface. Scoring through
 //! the arena is **bit-identical** to scoring through
-//! [`RoutingModel::expected_latency`]: same candidate filters, same
-//! summation order, same fallbacks (see `mean_matches_model_path` in the
-//! tests, and the equivalence proptests in
+//! [`RoutingModel::expected_latency`] because both call the same filter
+//! routine (`RoutingModel::for_each_effective`) and sum its survivors in
+//! the order it yields them (see `mean_matches_model_path` in the tests,
+//! and the equivalence proptests in
 //! `crates/core/tests/incremental_equivalence.rs`).
 
 use crate::inputs::OrchestratorInputs;
-use crate::model::RoutingModel;
+use crate::model::{RoutingModel, UgFacts};
 use painter_measure::UgId;
 use painter_topology::PeeringId;
 
@@ -214,76 +215,58 @@ impl BenefitArena {
         self.weight[u] = weight;
     }
 
+    /// The model's per-UG facts resolved into a table addressed by arena
+    /// UG index — one hash lookup per UG per greedy run, none per score.
+    /// Empty if nothing has been learned: a cold plan should not stream
+    /// `n_ugs` `None`s through the cache (+10 % on `plan-cold-100k`).
+    pub fn resolve_facts<'m>(&self, model: &'m RoutingModel) -> Vec<Option<&'m UgFacts>> {
+        if model.dominance_count() + model.unreachable_count() == 0 {
+            return Vec::new();
+        }
+        self.ug_id.iter().map(|&id| model.facts_of(id)).collect()
+    }
+
     /// Mean expected latency of UG `u` when a prefix is advertised via
-    /// `advertised` (ascending), or `f64::INFINITY` if no candidate
-    /// survives — exactly
-    /// [`RoutingModel::expected_latency`]`(..).map(|e| e.mean_ms)` with
-    /// `None` mapped to infinity, computed without allocating.
-    ///
-    /// When the model holds no dominance or unreachable facts (every
-    /// scale-path run, and iteration 0 of every learning loop), those two
-    /// filters are provably no-ops and the scan stays allocation-free;
-    /// otherwise a slow path replicates
-    /// [`RoutingModel::effective_candidates`] verbatim, fallback rules
-    /// included. Summation visits candidates in the same ascending-peering
-    /// order as the model path, so the float result is bit-identical.
-    pub fn mean_latency(&self, model: &RoutingModel, u: usize, advertised: &[PeeringId]) -> f64 {
-        if advertised.is_empty() {
-            return f64::INFINITY;
-        }
-        // Closest advertised PoP (candidate or not) anchors D_reuse.
-        let mut d_min = f64::INFINITY;
-        for p in advertised {
-            d_min = d_min.min(self.km_to_peering(u, p.idx()));
-        }
+    /// `advertised` (strictly ascending), or `f64::INFINITY` if no
+    /// candidate survives — [`RoutingModel::expected_latency`]`(..).map(|e|
+    /// e.mean_ms)` with `None` mapped to infinity, computed without
+    /// allocating. `facts` is `model`'s [`Self::resolve_facts`] table. Both
+    /// run the model's one filter routine, which yields survivors in
+    /// ascending peering order, so both add the same floats in the same
+    /// order: the result is bit-identical.
+    #[inline]
+    pub fn mean_latency(
+        &self,
+        model: &RoutingModel,
+        facts: &[Option<&UgFacts>],
+        u: usize,
+        advertised: &[PeeringId],
+    ) -> f64 {
         let (pes, mss) = self.candidates_of(u);
-        if model.dominance_count() == 0 && model.unreachable_count() == 0 {
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            for (i, &pe) in pes.iter().enumerate() {
-                if advertised.binary_search(&PeeringId(pe)).is_err() {
-                    continue;
-                }
-                if self.km_to_peering(u, pe as usize) - d_min > model.d_reuse_km {
-                    continue;
-                }
+        let (mut sum, mut n) = (0.0, 0usize);
+        model.for_each_effective(
+            facts.get(u).copied().flatten(),
+            advertised,
+            pes,
+            |&pe| PeeringId(pe),
+            |p| self.km_to_peering(u, p.idx()),
+            |i| {
                 sum += mss[i];
                 n += 1;
-            }
-            return if n == 0 { f64::INFINITY } else { sum / n as f64 };
+            },
+        );
+        if n == 0 {
+            f64::INFINITY
+        } else {
+            sum / n as f64
         }
-        // Slow path: learned facts present. Mirror effective_candidates.
-        let ug_id = self.ug_id[u];
-        let in_reach: Vec<(PeeringId, f64)> = pes
-            .iter()
-            .zip(mss)
-            .map(|(&pe, &ms)| (PeeringId(pe), ms))
-            .filter(|(p, _)| advertised.binary_search(p).is_ok())
-            .filter(|(p, _)| !model.is_unreachable(ug_id, *p))
-            .filter(|(p, _)| self.km_to_peering(u, p.idx()) - d_min <= model.d_reuse_km)
-            .collect();
-        if in_reach.is_empty() {
-            return f64::INFINITY;
-        }
-        let undominated: Vec<(PeeringId, f64)> = in_reach
-            .iter()
-            .copied()
-            .filter(|(loser, _)| {
-                !in_reach.iter().any(|(winner, _)| model.knows_dominance(ug_id, *winner, *loser))
-            })
-            .collect();
-        let cands = if undominated.is_empty() { &in_reach } else { &undominated };
-        let mut sum = 0.0;
-        for (_, ms) in cands {
-            sum += ms;
-        }
-        sum / cands.len() as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::h64;
     use crate::inputs::UgView;
     use painter_geo::MetroId;
 
@@ -381,42 +364,146 @@ mod tests {
         assert!(!arena.has_candidate(2, PeeringId(0)));
     }
 
+    /// The filter as it read before the advertisement-major walk:
+    /// row-major, asking the model one fact at a time.
+    fn row_major_mean(
+        inp: &OrchestratorInputs,
+        model: &RoutingModel,
+        u: usize,
+        set: &[PeeringId],
+    ) -> f64 {
+        let ug = &inp.ugs[u];
+        let km = |p: PeeringId| inp.ug_pop_km[u][inp.peering_pop[p.idx()]];
+        let d_min = set.iter().map(|&p| km(p)).fold(f64::INFINITY, f64::min);
+        let in_reach: Vec<(PeeringId, f64)> = ug
+            .candidates
+            .iter()
+            .copied()
+            .filter(|(p, _)| set.contains(p) && !model.is_unreachable(ug.id, *p))
+            .filter(|(p, _)| km(*p) - d_min <= model.d_reuse_km)
+            .collect();
+        let undominated: Vec<(PeeringId, f64)> = in_reach
+            .iter()
+            .copied()
+            .filter(|(l, _)| !in_reach.iter().any(|(w, _)| model.knows_dominance(ug.id, *w, *l)))
+            .collect();
+        let cands = if undominated.is_empty() { &in_reach } else { &undominated };
+        if cands.is_empty() {
+            return f64::INFINITY;
+        }
+        cands.iter().fold(0.0, |sum, (_, ms)| sum + ms) / cands.len() as f64
+    }
+
     #[test]
     fn mean_matches_model_path() {
-        let inp = inputs();
+        // Hash-built sweep: 240 UGs x 40 peerings at 12 PoPs, rows of ~24
+        // candidates (every 40th UG has none), ids that are not indices.
+        let (n_ugs, n_pe, n_pops) = (240usize, 40usize, 12usize);
+        let id_of = |u: usize| UgId(1000 + 3 * u as u32);
+        // UG 1 sits 100 km from everywhere, so all of a set is in reach.
+        let flat = 1usize;
+        let candidates = |u: usize| -> Vec<(PeeringId, f64)> {
+            (0..n_pe as u64)
+                .filter(|&p| !u.is_multiple_of(40) && (u == flat || h64(&[1, u as u64, p]) % 5 < 3))
+                .map(|p| (PeeringId(p as u32), 5.0 + (h64(&[2, u as u64, p]) % 950) as f64 / 10.0))
+                .collect()
+        };
+        let hashed_km = |u: usize, pop: u64| (h64(&[3, u as u64, pop]) % 9000) as f64;
+        let km = |u: usize, pop: u64| if u == flat { 100.0 } else { hashed_km(u, pop) };
+        let inp = OrchestratorInputs {
+            ugs: (0..n_ugs)
+                .map(|u| UgView {
+                    id: id_of(u),
+                    metro: MetroId(0),
+                    weight: 1.0,
+                    anycast_ms: 100.0,
+                    candidates: candidates(u),
+                })
+                .collect(),
+            ug_pop_km: (0..n_ugs).map(|u| (0..n_pops as u64).map(|p| km(u, p)).collect()).collect(),
+            peering_pop: (0..n_pe as u64)
+                .map(|p| (h64(&[4, p]) % n_pops as u64) as usize)
+                .collect(),
+            peering_count: n_pe,
+            capacities: None,
+        };
         let arena = BenefitArena::from_inputs(&inp);
-        let mut model = RoutingModel::new(3000.0);
-        let sets: Vec<Vec<PeeringId>> = vec![
-            vec![],
-            vec![PeeringId(0)],
-            vec![PeeringId(1)],
-            vec![PeeringId(2)],
-            vec![PeeringId(0), PeeringId(2)],
-            vec![PeeringId(0), PeeringId(1), PeeringId(2)],
-        ];
-        let check = |model: &RoutingModel, arena: &BenefitArena| {
-            for u in 0..inp.ugs.len() {
+        // Advertisements of 0..=40 peerings, candidates or not; the full one
+        // outgrows the stack buffer.
+        let cycle = [PeeringId(3), PeeringId(17), PeeringId(29)];
+        let mut sets: Vec<Vec<PeeringId>> = vec![vec![], vec![PeeringId(5)], cycle.to_vec()];
+        for k in 0..40u64 {
+            let want = 1 + h64(&[5, k]) % n_pe as u64;
+            sets.push(
+                (0..n_pe as u64)
+                    .filter(|&p| k == 0 || h64(&[6, k, p]) % (n_pe as u64) < want)
+                    .map(|p| PeeringId(p as u32))
+                    .collect(),
+            );
+        }
+        assert!(sets.iter().any(|s| s.len() > crate::model::STACK_SURVIVORS));
+        let check = |model: &RoutingModel| {
+            let facts = arena.resolve_facts(model);
+            for u in 0..n_ugs {
                 for set in &sets {
-                    let want = model
-                        .expected_latency(&inp, u, set)
-                        .map(|e| e.mean_ms)
-                        .unwrap_or(f64::INFINITY);
-                    let got = arena.mean_latency(model, u, set);
-                    assert!(
-                        want.to_bits() == got.to_bits(),
-                        "u={u} set={set:?}: model {want} vs arena {got}"
-                    );
+                    let got = arena.mean_latency(model, &facts, u, set);
+                    let want =
+                        model.expected_latency(&inp, u, set).map_or(f64::INFINITY, |e| e.mean_ms);
+                    assert!(want.to_bits() == got.to_bits(), "u={u} {set:?}: {want} vs {got}");
+                    let old = row_major_mean(&inp, model, u, set);
+                    assert!(old.to_bits() == got.to_bits(), "u={u} {set:?}: {old} vs {got}");
                 }
             }
         };
-        check(&model, &arena);
-        // Learned facts push the arena onto its slow path; still identical.
-        model.learn_dominance(UgId(0), PeeringId(2), PeeringId(0));
-        model.mark_unreachable(UgId(1), PeeringId(1));
-        check(&model, &arena);
-        // A dominance cycle exercises the fallback-to-in-reach rule.
-        model.learn_dominance(UgId(0), PeeringId(0), PeeringId(2));
-        check(&model, &arena);
+        let bare = RoutingModel::new(3000.0);
+        check(&bare);
+        // Facts land on two UGs in three; every third stays fact-free.
+        let mut model = bare.clone();
+        for k in 0..3000u64 {
+            let h = h64(&[7, k]);
+            let u = (h % n_ugs as u64) as usize;
+            if u.is_multiple_of(3) || u == flat {
+                continue;
+            }
+            let pe = |shift: u32| PeeringId(((h >> shift) % n_pe as u64) as u32);
+            match k % 5 {
+                0 => model.mark_unreachable(id_of(u), pe(8)),
+                // Routes change: the inverse of a fact replaces it.
+                1 => {
+                    model.learn_dominance(id_of(u), pe(16), pe(8));
+                    model.learn_dominance(id_of(u), pe(8), pe(16));
+                    assert!(!model.knows_dominance(id_of(u), pe(16), pe(8)));
+                }
+                _ => model.learn_dominance(id_of(u), pe(8), pe(16)),
+            }
+        }
+        assert!(model.dominance_count() > 1000, "{}", model.dominance_count());
+        assert!(model.unreachable_count() > 300, "{}", model.unreachable_count());
+        model.mark_unreachable(id_of(2), PeeringId(0));
+        assert!(model.clear_unreachable(id_of(2), PeeringId(0)));
+        // A 3-cycle removes all of `cycle`: the in-reach set comes back.
+        model.learn_dominance(id_of(flat), cycle[0], cycle[1]);
+        model.learn_dominance(id_of(flat), cycle[1], cycle[2]);
+        model.learn_dominance(id_of(flat), cycle[2], cycle[0]);
+        let mss = arena.candidates_of(flat).1;
+        assert_eq!(
+            arena.mean_latency(&model, &arena.resolve_facts(&model), flat, &cycle),
+            (mss[3] + mss[17] + mss[29]) / 3.0
+        );
+        check(&model);
+        // A fact on one UG leaves another on the fact-free path.
+        let facts = arena.resolve_facts(&model);
+        assert_eq!(facts.iter().flatten().count(), n_ugs - n_ugs.div_ceil(3));
+        for u in (0..n_ugs).step_by(3) {
+            assert!(facts[u].is_none(), "u={u}");
+            for set in &sets {
+                let (with, without) = (
+                    arena.mean_latency(&model, &facts, u, set),
+                    arena.mean_latency(&bare, &[], u, set),
+                );
+                assert!(with.to_bits() == without.to_bits(), "u={u} {set:?}");
+            }
+        }
     }
 
     #[test]

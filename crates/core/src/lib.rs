@@ -77,3 +77,14 @@ pub use orchestrator::{
 pub use strategies::{
     one_per_peering, one_per_pop, one_per_pop_with_reuse, regional_transit, Strategy,
 };
+
+/// FNV-1a over a word sequence — the seed expander of the hash-built test
+/// worlds (no RNG, so they are the same in every build).
+#[cfg(test)]
+pub(crate) fn h64(parts: &[u64]) -> u64 {
+    let mut h = painter_obs::Fnv1a::new();
+    for p in parts {
+        h.update(&p.to_le_bytes());
+    }
+    h.finish()
+}

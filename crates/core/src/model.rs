@@ -21,12 +21,16 @@
 use crate::inputs::OrchestratorInputs;
 use painter_measure::UgId;
 use painter_topology::PeeringId;
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 /// Distance scale (km) of the inflation-probability weighting used for the
 /// "estimated" expectation: a candidate `Δ` km farther than the closest
 /// advertised PoP gets weight `exp(-Δ/SCALE)`.
 pub const INFLATION_WEIGHT_SCALE_KM: f64 = 1500.0;
+
+/// Longest advertisement whose survivors [`RoutingModel::for_each_effective`]
+/// keeps on the stack; longer ones spill to the heap.
+pub(crate) const STACK_SURVIVORS: usize = 32;
 
 /// Latency expectation over a candidate set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,6 +43,17 @@ pub struct Expectation {
     pub estimated_ms: f64,
     /// Worst case.
     pub max_ms: f64,
+}
+
+/// What the loop has learned about one UG: a handful of entries, scanned.
+#[derive(Debug, Clone, Default)]
+pub struct UgFacts {
+    /// `(winner, loser)`: whenever `winner` is advertised alongside
+    /// `loser`, the UG will not use `loser`.
+    dominates: Vec<(PeeringId, PeeringId)>,
+    /// Ingresses a measurement loop has marked dark (advertised, yet
+    /// sustainably no landing), until a landing clears the mark.
+    dark: Vec<PeeringId>,
 }
 
 /// Learned routing knowledge plus the `D_reuse` hyperparameter.
@@ -58,42 +73,55 @@ pub struct Expectation {
 pub struct RoutingModel {
     /// Minimum reuse distance in kilometers (Algorithm 1's `D_reuse`).
     pub d_reuse_km: f64,
-    /// Learned dominance: `(ug, winner, loser)` — whenever `winner` is
-    /// advertised alongside `loser`, the UG will not use `loser`.
-    dominates: HashSet<(UgId, PeeringId, PeeringId)>,
-    /// Ingresses a measurement loop has marked dark for a UG (sustained
-    /// failure to land despite being advertised). Excluded from the
-    /// candidate set until a landing clears the mark.
-    unreachable: HashSet<(UgId, PeeringId)>,
+    /// Per-UG facts; a UG with nothing learned has no entry.
+    facts: HashMap<UgId, UgFacts>,
+    dominance_count: usize,
+    unreachable_count: usize,
 }
 
 impl RoutingModel {
     /// A fresh model with no learned preferences.
     pub fn new(d_reuse_km: f64) -> Self {
-        RoutingModel { d_reuse_km, dominates: HashSet::new(), unreachable: HashSet::new() }
+        RoutingModel { d_reuse_km, facts: HashMap::new(), dominance_count: 0, unreachable_count: 0 }
+    }
+
+    /// What has been learned about `ug`; `None` if nothing.
+    pub fn facts_of(&self, ug: UgId) -> Option<&UgFacts> {
+        self.facts.get(&ug)
     }
 
     /// Marks an ingress dark for a UG: the loop advertised through it and
     /// sustainably observed no landings. Excluded by
     /// [`Self::effective_candidates`] until cleared.
     pub fn mark_unreachable(&mut self, ug: UgId, ingress: PeeringId) {
-        self.unreachable.insert((ug, ingress));
+        let dark = &mut self.facts.entry(ug).or_default().dark;
+        if !dark.contains(&ingress) {
+            dark.push(ingress);
+            self.unreachable_count += 1;
+        }
     }
 
     /// Clears a dark mark (a landing through the ingress was observed).
     /// Returns true if a mark was present.
     pub fn clear_unreachable(&mut self, ug: UgId, ingress: PeeringId) -> bool {
-        self.unreachable.remove(&(ug, ingress))
+        let Some(facts) = self.facts.get_mut(&ug) else { return false };
+        let Some(i) = facts.dark.iter().position(|&p| p == ingress) else { return false };
+        facts.dark.swap_remove(i);
+        self.unreachable_count -= 1;
+        if facts.dark.is_empty() && facts.dominates.is_empty() {
+            self.facts.remove(&ug);
+        }
+        true
     }
 
     /// True if the ingress is currently marked dark for the UG.
     pub fn is_unreachable(&self, ug: UgId, ingress: PeeringId) -> bool {
-        self.unreachable.contains(&(ug, ingress))
+        self.facts_of(ug).is_some_and(|f| f.dark.contains(&ingress))
     }
 
     /// Number of active dark marks.
     pub fn unreachable_count(&self) -> usize {
-        self.unreachable.len()
+        self.unreachable_count
     }
 
     /// Records that `ug` picked `winner` while `loser` was advertised.
@@ -104,26 +132,99 @@ impl RoutingModel {
         if winner == loser {
             return;
         }
-        self.dominates.remove(&(ug, loser, winner));
-        self.dominates.insert((ug, winner, loser));
+        let dominates = &mut self.facts.entry(ug).or_default().dominates;
+        if let Some(i) = dominates.iter().position(|&f| f == (loser, winner)) {
+            dominates.swap_remove(i);
+            self.dominance_count -= 1;
+        }
+        if !dominates.contains(&(winner, loser)) {
+            dominates.push((winner, loser));
+            self.dominance_count += 1;
+        }
     }
 
     /// True if the model has learned that `winner` beats `loser` for `ug`.
     pub fn knows_dominance(&self, ug: UgId, winner: PeeringId, loser: PeeringId) -> bool {
-        self.dominates.contains(&(ug, winner, loser))
+        self.facts_of(ug).is_some_and(|f| f.dominates.contains(&(winner, loser)))
     }
 
     /// Number of learned dominance facts.
     pub fn dominance_count(&self) -> usize {
-        self.dominates.len()
+        self.dominance_count
+    }
+
+    /// "Which candidates can this UG land on", implemented once: calls
+    /// `keep(i)`, `i` ascending, for every position of the UG's candidate
+    /// `row` (ascending by `peering_of`) that survives a prefix advertised
+    /// via `advertised` (strictly ascending) — intersect with the
+    /// advertisement, drop dark ingresses, apply the `D_reuse` exclusion,
+    /// then remove dominated ingresses, falling back to the
+    /// distance-filtered set if dominance removed everything (a confused
+    /// model must not claim the prefix is unusable). Each of the few
+    /// advertised peerings is binary-searched into the long row:
+    /// `O(|advertised| · log |row|)`.
+    pub(crate) fn for_each_effective<T>(
+        &self,
+        facts: Option<&UgFacts>,
+        advertised: &[PeeringId],
+        row: &[T],
+        peering_of: impl Fn(&T) -> PeeringId,
+        km_to: impl Fn(PeeringId) -> f64,
+        mut keep: impl FnMut(usize),
+    ) {
+        debug_assert!(
+            advertised.windows(2).all(|w| w[0] < w[1]),
+            "advertised must be strictly ascending: a duplicate would be counted twice"
+        );
+        // Closest advertised PoP (candidate or not — the UG *could* land
+        // anywhere the prefix is advertised).
+        let d_min = advertised.iter().map(|&p| km_to(p)).fold(f64::INFINITY, f64::min);
+        let dark = facts.map_or(&[][..], |f| &f.dark);
+        let in_reach = advertised.iter().filter_map(|&p| {
+            let i = row.binary_search_by_key(&p, &peering_of).ok()?;
+            (!dark.contains(&p) && km_to(p) - d_min <= self.d_reuse_km).then_some(i)
+        });
+        let Some(dominates) = facts.map(|f| &f.dominates[..]).filter(|d| !d.is_empty()) else {
+            return in_reach.for_each(keep);
+        };
+        // Buffered, at most one row position per advertised peering; the
+        // top bit marks a dominated one.
+        const DOMINATED: u32 = 1 << 31;
+        let (mut stack, mut heap) = ([0u32; STACK_SURVIVORS], Vec::new());
+        let buf: &mut [u32] = if advertised.len() <= STACK_SURVIVORS {
+            &mut stack
+        } else {
+            heap.resize(advertised.len(), 0);
+            &mut heap
+        };
+        let mut n = 0;
+        for i in in_reach {
+            buf[n] = i as u32;
+            n += 1;
+        }
+        let buf = &mut buf[..n];
+        let mut undominated = n;
+        // A lone survivor has nothing to lose to.
+        for &(winner, loser) in if n > 1 { dominates } else { &[] } {
+            let slot_of =
+                |p| buf.iter().position(|&i| peering_of(&row[(i & !DOMINATED) as usize]) == p);
+            if let (Some(l), Some(_)) = (slot_of(loser), slot_of(winner)) {
+                if buf[l] & DOMINATED == 0 {
+                    buf[l] |= DOMINATED;
+                    undominated -= 1;
+                }
+            }
+        }
+        for &i in buf.iter() {
+            if undominated == 0 || i & DOMINATED == 0 {
+                keep((i & !DOMINATED) as usize);
+            }
+        }
     }
 
     /// The effective candidate set (peering, believed latency) for UG
-    /// index `ug_idx` when a prefix is advertised via `advertised`:
-    /// intersects the UG's candidates with the advertisement, applies the
-    /// `D_reuse` exclusion, then removes dominated ingresses. Falls back
-    /// to the distance-filtered set if dominance removed everything (a
-    /// confused model must not claim the prefix is unusable).
+    /// index `ug_idx` when a prefix is advertised via `advertised`
+    /// (strictly ascending); see [`Self::for_each_effective`].
     pub fn effective_candidates(
         &self,
         inputs: &OrchestratorInputs,
@@ -131,37 +232,17 @@ impl RoutingModel {
         advertised: &[PeeringId],
     ) -> Vec<(PeeringId, f64)> {
         let ug = &inputs.ugs[ug_idx];
-        // Closest advertised PoP (candidate or not — the UG *could* land
-        // anywhere the prefix is advertised).
-        let d_min = advertised
-            .iter()
-            .map(|p| inputs.ug_pop_km[ug_idx][inputs.peering_pop[p.idx()]])
-            .fold(f64::INFINITY, f64::min);
-        let in_reach: Vec<(PeeringId, f64)> = ug
-            .candidates
-            .iter()
-            .copied()
-            .filter(|(p, _)| advertised.binary_search(p).is_ok())
-            .filter(|(p, _)| !self.unreachable.contains(&(ug.id, *p)))
-            .filter(|(p, _)| {
-                inputs.ug_pop_km[ug_idx][inputs.peering_pop[p.idx()]] - d_min <= self.d_reuse_km
-            })
-            .collect();
-        if in_reach.is_empty() {
-            return in_reach;
-        }
-        let undominated: Vec<(PeeringId, f64)> = in_reach
-            .iter()
-            .copied()
-            .filter(|(loser, _)| {
-                !in_reach.iter().any(|(winner, _)| self.knows_dominance(ug.id, *winner, *loser))
-            })
-            .collect();
-        if undominated.is_empty() {
-            in_reach
-        } else {
-            undominated
-        }
+        let km = &inputs.ug_pop_km[ug_idx];
+        let mut out = Vec::new();
+        self.for_each_effective(
+            self.facts_of(ug.id),
+            advertised,
+            &ug.candidates,
+            |c| c.0,
+            |p| km[inputs.peering_pop[p.idx()]],
+            |i| out.push(ug.candidates[i]),
+        );
+        out
     }
 
     /// Eq. 2's expectation for a UG and an advertised peering set, or
@@ -296,6 +377,74 @@ mod tests {
         assert!(model.knows_dominance(UgId(0), PeeringId(2), PeeringId(1)));
         assert!(!model.knows_dominance(UgId(0), PeeringId(1), PeeringId(2)));
         assert_eq!(model.dominance_count(), 1);
+    }
+
+    #[test]
+    fn fact_index_matches_a_hash_set_oracle() {
+        // Small id ranges, so inverse re-learning, duplicate marks and
+        // clearing a UG's last fact all happen thousands of times.
+        use std::collections::HashSet;
+        let (n_ugs, n_pe) = (8u64, 5u64);
+        let mut model = RoutingModel::new(3000.0);
+        // The old representation: `(ug, winner, loser)` and `(ug, ingress)`.
+        let (mut dominates, mut dark) = (HashSet::new(), HashSet::new());
+        for k in 0..10_000u64 {
+            let h = crate::h64(&[k]);
+            let ug = UgId((h % n_ugs) as u32);
+            let pe = |shift: u32| PeeringId(((h >> shift) % n_pe) as u32);
+            let (a, b) = (pe(8), pe(16));
+            match (h >> 32) % 10 {
+                0..=5 => {
+                    model.learn_dominance(ug, a, b);
+                    if a != b {
+                        dominates.remove(&(ug, b, a));
+                        dominates.insert((ug, a, b));
+                    }
+                }
+                6..=7 => {
+                    model.mark_unreachable(ug, a);
+                    dark.insert((ug, a));
+                }
+                _ => assert_eq!(model.clear_unreachable(ug, a), dark.remove(&(ug, a)), "op {k}"),
+            }
+            assert_eq!(model.dominance_count(), dominates.len(), "op {k}");
+            assert_eq!(model.unreachable_count(), dark.len(), "op {k}");
+            for ug in (0..n_ugs as u32).map(UgId) {
+                let mut any = false;
+                for w in (0..n_pe as u32).map(PeeringId) {
+                    any |= dark.contains(&(ug, w));
+                    assert_eq!(model.is_unreachable(ug, w), dark.contains(&(ug, w)), "op {k}");
+                    for l in (0..n_pe as u32).map(PeeringId) {
+                        any |= dominates.contains(&(ug, w, l));
+                        assert_eq!(
+                            model.knows_dominance(ug, w, l),
+                            dominates.contains(&(ug, w, l)),
+                            "op {k}: {ug:?} {w:?} > {l:?}"
+                        );
+                    }
+                }
+                // `core.greedy_fact_ugs` counts entries: none may be empty.
+                assert_eq!(model.facts_of(ug).is_some(), any, "op {k}: {ug:?}");
+            }
+        }
+        assert!(model.dominance_count() > 0 && model.unreachable_count() > 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "advertised must be strictly ascending")]
+    fn duplicated_advertisement_is_rejected() {
+        // The advertisement-major walk would count peering 1 twice.
+        let inp = inputs([100.0, 100.0, 100.0], [10.0, 20.0, 30.0]);
+        RoutingModel::new(3000.0).effective_candidates(&inp, 0, &[PeeringId(1), PeeringId(1)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "advertised must be strictly ascending")]
+    fn unsorted_advertisement_is_rejected() {
+        let inp = inputs([100.0, 100.0, 100.0], [10.0, 20.0, 30.0]);
+        RoutingModel::new(3000.0).effective_candidates(&inp, 0, &[PeeringId(2), PeeringId(0)]);
     }
 
     #[test]

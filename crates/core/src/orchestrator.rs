@@ -30,7 +30,7 @@ use crate::arena::BenefitArena;
 use crate::benefit::{BenefitRange, ConfigEvaluator};
 use crate::incremental::{self, ArenaPatch, Delta, IncrementalState};
 use crate::inputs::OrchestratorInputs;
-use crate::model::RoutingModel;
+use crate::model::{RoutingModel, UgFacts};
 use crate::parallel;
 use painter_bgp::{AdvertConfig, PrefixId};
 use painter_measure::{GroundTruth, Pinger, UgId};
@@ -215,7 +215,11 @@ impl Ord for CandEntry {
 /// aggregates that let a rescore skip every UG the new peering cannot move
 /// ([`Orchestrator::anchor_hits`]). Written only in the serial commit
 /// section; scoring tasks read it.
-struct GreedyState {
+struct GreedyState<'m> {
+    /// What the model has learned about each UG
+    /// ([`BenefitArena::resolve_facts`]) — resolved once per run, so scoring
+    /// never hashes and a UG with no facts never pays for another's.
+    facts: Vec<Option<&'m UgFacts>>,
     /// `anycast ∧ mean under every finished prefix` — the `min` a new
     /// prefix has to beat. `min` over finite floats is exact, so folding
     /// prefixes in as they close equals re-folding them per score.
@@ -238,10 +242,11 @@ struct GreedyState {
     anchor_sensitive: Vec<u32>,
 }
 
-impl GreedyState {
-    fn new(arena: &BenefitArena) -> Self {
+impl<'m> GreedyState<'m> {
+    fn new(arena: &BenefitArena, model: &'m RoutingModel) -> Self {
         let n = arena.n_ugs();
         GreedyState {
+            facts: arena.resolve_facts(model),
             closed_best: (0..n).map(|u| arena.anycast_ms(u)).collect(),
             cur_mean: vec![f64::INFINITY; n],
             d_min: vec![f64::INFINITY; n],
@@ -336,7 +341,8 @@ impl Orchestrator {
         obs_gauge!(self.obs, "core.greedy_threads", width as f64);
         let n_pe = arena.n_peerings();
         let pb = self.config.prefix_budget;
-        let mut st = GreedyState::new(arena);
+        let mut st = GreedyState::new(arena, &self.model);
+        obs_gauge!(self.obs, "core.greedy_fact_ugs", st.facts.iter().flatten().count() as f64);
         // Running modeled benefit: Σ w · (anycast − best)⁺.
         let mut running_benefit = 0.0;
         let mut cc = AdvertConfig::new();
@@ -659,7 +665,7 @@ impl Orchestrator {
         let means: Vec<f64> = self.pool.install(|| {
             moved
                 .par_iter()
-                .map(|&u| arena.mean_latency(&self.model, u as usize, current))
+                .map(|&u| arena.mean_latency(&self.model, &st.facts, u as usize, current))
                 .collect()
         });
         for (&u, mean) in moved.iter().zip(means) {
@@ -780,7 +786,7 @@ impl Orchestrator {
         let anycast = arena.anycast_ms(u);
         let others = st.closed_best[u];
         let old_best = others.min(st.cur_mean[u]);
-        let new_best = others.min(arena.mean_latency(&self.model, u, new_set));
+        let new_best = others.min(arena.mean_latency(&self.model, &st.facts, u, new_set));
         arena.weight(u) * ((anycast - new_best).max(0.0) - (anycast - old_best).max(0.0))
     }
 
@@ -819,7 +825,7 @@ impl Orchestrator {
         if self.config.prefix_budget == 0 {
             return vec![f64::NAN; arena.n_peerings()];
         }
-        let st = GreedyState::new(arena);
+        let st = GreedyState::new(arena, &self.model);
         (0..arena.n_peerings()).map(|pe| self.fill_score(arena, &st, pe)).collect()
     }
 
@@ -899,10 +905,20 @@ impl Orchestrator {
     /// compliance, and learns ingress dominance. Returns the number of new
     /// dominance facts.
     pub fn learn(&mut self, config: &AdvertConfig, obs: &Observations) -> usize {
+        self.learn_indexed(&self.inputs.index_of(), config, obs)
+    }
+
+    /// [`Self::learn`] given `inputs.index_of()` (learning never reorders
+    /// UGs, so [`Self::run`] builds it once per iteration).
+    fn learn_indexed(
+        &mut self,
+        index_of: &HashMap<UgId, usize>,
+        config: &AdvertConfig,
+        obs: &Observations,
+    ) -> usize {
         // Learning rewrites believed latencies and dominance facts
         // wholesale; the incremental cache cannot track it delta-by-delta.
         self.incr = None;
-        let index_of: HashMap<UgId, usize> = self.inputs.index_of();
         let before = self.model.dominance_count();
         let mut corrections = 0u64;
         for (ug, prefix, landed) in &obs.landed {
@@ -963,7 +979,15 @@ impl Orchestrator {
     /// prefix (fine-grained steering can do exactly that), floored at
     /// anycast.
     pub fn measured_benefit(&self, obs: &Observations) -> (f64, f64) {
-        let index_of: HashMap<UgId, usize> = self.inputs.index_of();
+        self.measured_benefit_indexed(&self.inputs.index_of(), obs)
+    }
+
+    /// [`Self::measured_benefit`] given `inputs.index_of()`.
+    fn measured_benefit_indexed(
+        &self,
+        index_of: &HashMap<UgId, usize>,
+        obs: &Observations,
+    ) -> (f64, f64) {
         let mut best: HashMap<UgId, f64> = HashMap::new();
         for (ug, _, landed) in &obs.landed {
             if let Some((_, lat)) = landed {
@@ -1001,8 +1025,10 @@ impl Orchestrator {
             let cc = self.compute_config();
             let modeled = ConfigEvaluator::new(&self.inputs, &self.model).benefit_range(&cc);
             let obs = env.execute(&cc);
-            let newly_learned = self.learn(&cc, &obs);
-            let (measured_benefit, measured_mean_improvement_ms) = self.measured_benefit(&obs);
+            let index_of = self.inputs.index_of();
+            let newly_learned = self.learn_indexed(&index_of, &cc, &obs);
+            let (measured_benefit, measured_mean_improvement_ms) =
+                self.measured_benefit_indexed(&index_of, &obs);
             obs_gauge!(self.obs, "core.measured_benefit", measured_benefit);
             iterations.push(IterationStats {
                 config: cc,
@@ -1028,6 +1054,7 @@ impl Orchestrator {
 mod tests {
     use super::*;
     use crate::compliance::infer_compliant_ingresses;
+    use crate::h64;
     use crate::incremental::{MeasurementDelta, TopologyDelta};
     use painter_measure::{build_user_groups, UserGroup};
     use painter_topology::{CustomerCones, Deployment, DeploymentConfig, TopologyConfig};
@@ -1393,15 +1420,6 @@ mod tests {
         assert!(reference.iter().any(|d| d.is_finite() && *d > 0.0), "degenerate fixture");
     }
 
-    /// FNV-1a over a word sequence — the seed expander.
-    fn h64(parts: &[u64]) -> u64 {
-        let mut h = painter_obs::Fnv1a::new();
-        for p in parts {
-            h.update(&p.to_le_bytes());
-        }
-        h.finish()
-    }
-
     /// Hash-built world for the anchor filter: 3–5 PoPs, 6–9 peerings,
     /// UG→PoP distances hashed over 0–9000 km so candidate and anchor
     /// distances straddle `D_reuse` = 3000 km both ways, 0–4 candidates
@@ -1468,7 +1486,7 @@ mod tests {
             }
         }
         let mut reference_mean: Vec<Vec<Option<f64>>> = vec![vec![None; 2]; n_ugs];
-        let mut st = GreedyState::new(&arena);
+        let mut st = GreedyState::new(&arena, &orch.model);
         let mut cc = AdvertConfig::new();
         let mut anchor_moved = 0;
         for p_idx in 0..2 {

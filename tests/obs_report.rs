@@ -123,6 +123,16 @@ fn full_run_produces_parseable_complete_report() {
         .expect("utilization gauge");
     assert!((utilization - used / budget).abs() < 1e-9);
 
+    // Why planning got slower after learning: the last greedy run (after
+    // the loop) saw every UG the loop learned something about.
+    let fact_ugs = metrics
+        .get("core.greedy_fact_ugs")
+        .and_then(|m| m.get("value"))
+        .and_then(|v| v.as_f64())
+        .expect("fact-UGs gauge");
+    assert!(fact_ugs >= 1.0 || counter("core.learn_dominance_total") == 0.0);
+    assert!(fact_ugs <= counter("core.learn_dominance_total"));
+
     // Probe RTT p50/p99: the surviving 50 ms path dominates late probes,
     // and p50 covers at least the fast path's 20 ms RTT.
     assert!(hist_stat("tm.probe_rtt_ms", "count") > 0.0);
