@@ -18,14 +18,13 @@
 //!   slab, plus per-UG scalars (`weight`, `anycast_ms`) split out of
 //!   [`crate::inputs::UgView`] so scoring never touches the AoS structs.
 //!
-//! The arena is a *view* optimized for scoring — [`OrchestratorInputs`]
-//! remains the source of truth and the mutation surface. Scoring through
-//! the arena is **bit-identical** to scoring through
+//! The arena is a read-only *view* optimized for scoring, built per plan
+//! and dropped with it — [`OrchestratorInputs`] remains the source of
+//! truth and the only mutation surface. Scoring through the arena is
+//! **bit-identical** to scoring through
 //! [`RoutingModel::expected_latency`] because both call the same filter
 //! routine (`RoutingModel::for_each_effective`) and sum its survivors in
-//! the order it yields them (see `mean_matches_model_path` in the tests,
-//! and the equivalence proptests in
-//! `crates/core/tests/incremental_equivalence.rs`).
+//! the order it yields them (see `mean_matches_model_path` in the tests).
 
 use crate::inputs::OrchestratorInputs;
 use crate::model::{RoutingModel, UgFacts};
@@ -193,26 +192,6 @@ impl BenefitArena {
     #[inline]
     pub fn km_to_peering(&self, u: usize, pe: usize) -> f64 {
         self.ug_pop_km[u * self.n_pops + self.peering_pop[pe] as usize]
-    }
-
-    /// Patches the believed latency of an existing `(u, pe)` candidacy in
-    /// place. Returns false (and changes nothing) if `pe` is not a
-    /// candidate of `u` — the caller must rebuild instead, because
-    /// membership changed.
-    pub fn set_latency(&mut self, u: usize, pe: PeeringId, ms: f64) -> bool {
-        let (s, e) = (self.cand_off[u] as usize, self.cand_off[u + 1] as usize);
-        match self.cand_pe[s..e].binary_search(&pe.0) {
-            Ok(i) => {
-                self.cand_ms[s + i] = ms;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Patches UG `u`'s traffic weight in place.
-    pub fn set_weight(&mut self, u: usize, weight: f64) {
-        self.weight[u] = weight;
     }
 
     /// The model's per-UG facts resolved into a table addressed by arena
@@ -504,15 +483,5 @@ mod tests {
                 assert!(with.to_bits() == without.to_bits(), "u={u} {set:?}");
             }
         }
-    }
-
-    #[test]
-    fn in_place_patches_apply() {
-        let mut arena = BenefitArena::from_inputs(&inputs());
-        assert!(arena.set_latency(0, PeeringId(2), 44.0));
-        assert_eq!(arena.candidates_of(0).1, &[30.0, 44.0]);
-        assert!(!arena.set_latency(0, PeeringId(1), 10.0), "non-member must refuse");
-        arena.set_weight(1, 9.5);
-        assert_eq!(arena.weight(1), 9.5);
     }
 }

@@ -35,10 +35,9 @@
 //!   greedy's hot path reads (candidate CSR, incidence CSR, per-UG scalar
 //!   arrays), sized for millions of UGs.
 //! * [`incremental`] — typed world deltas ([`TopologyDelta`],
-//!   [`MeasurementDelta`]) and the persistent, patched-in-place arena
-//!   behind [`Orchestrator::apply_delta`] /
-//!   [`Orchestrator::compute_config_incremental`], bit-identical to a
-//!   from-scratch recompute.
+//!   [`MeasurementDelta`]) that [`Orchestrator::apply_delta`] writes
+//!   into the inputs, dropping rows with hostile values; the next plan
+//!   is the ordinary cold one.
 //! * [`guard`] — the closed-loop containment layer: measurement
 //!   quarantine, plan hysteresis, and safety rollback, so the learning
 //!   loop survives running live under churn.

@@ -28,7 +28,7 @@
 
 use crate::arena::BenefitArena;
 use crate::benefit::{BenefitRange, ConfigEvaluator};
-use crate::incremental::{self, ArenaPatch, Delta, IncrementalState};
+use crate::incremental::{self, Delta, UgIndex};
 use crate::inputs::OrchestratorInputs;
 use crate::model::{RoutingModel, UgFacts};
 use crate::parallel;
@@ -282,12 +282,8 @@ pub struct Orchestrator {
     /// construction (see [`crate::parallel`] for the resolution order and
     /// the determinism contract).
     pub pool: rayon::ThreadPool,
-    /// Incremental-mode state (the persistent arena), built lazily by
-    /// [`Orchestrator::apply_delta`] /
-    /// [`Orchestrator::compute_config_incremental`]. Editing `inputs`
-    /// directly bypasses it — call
-    /// [`Orchestrator::invalidate_incremental`] afterwards.
-    incr: Option<IncrementalState>,
+    /// Where [`Orchestrator::apply_delta`] finds a UG in `inputs.ugs`.
+    ug_index: UgIndex,
 }
 
 impl Orchestrator {
@@ -305,7 +301,7 @@ impl Orchestrator {
     ) -> Self {
         let model = RoutingModel::new(config.d_reuse_km);
         let pool = parallel::build_pool(config.threads);
-        Orchestrator { config, inputs, model, obs, pool, incr: None }
+        Orchestrator { config, inputs, model, obs, pool, ug_index: UgIndex::default() }
     }
 
     /// One pass of the greedy allocator (Algorithm 1's inner loops) under
@@ -322,14 +318,10 @@ impl Orchestrator {
     /// Candidate peerings are evaluated lazily (CELF-style): cached
     /// marginal benefits are only recomputed when a candidate reaches the
     /// top of the priority queue, which keeps the allocator fast even with
-    /// thousands of ingresses.
+    /// thousands of ingresses. One cold pass over a [`BenefitArena`] packed
+    /// from `inputs` for this call: no state is carried between calls.
     pub fn compute_config_traced(&self) -> (AdvertConfig, GreedyTrace) {
-        self.greedy_arena(&BenefitArena::from_inputs(&self.inputs))
-    }
-
-    /// The greedy allocator over the SoA [`BenefitArena`]: one cold
-    /// lazy-greedy pass, no state carried between calls.
-    fn greedy_arena(&self, arena: &BenefitArena) -> (AdvertConfig, GreedyTrace) {
+        let arena = &BenefitArena::from_inputs(&self.inputs);
         let _span = painter_obs::Span::enter(&self.obs, "core.greedy_compute_ms");
         let delta_hist = self.obs.histogram("core.greedy_benefit_delta");
         // Speculation width of the rescore prefetch below: one candidate
@@ -464,82 +456,28 @@ impl Orchestrator {
         (cc, trace)
     }
 
-    /// Applies one world delta in incremental mode: the inputs are edited
-    /// and the persistent arena is patched in place (or flagged for a CSR
-    /// rebuild when candidate-set membership changed), so the next
-    /// [`Orchestrator::compute_config_incremental`] plans the new world
-    /// without repacking it.
+    /// Applies one world delta to `inputs` — and to nothing else, so the
+    /// next compute plans the edited world like any other.
     ///
     /// Accepts [`TopologyDelta`](crate::TopologyDelta),
     /// [`MeasurementDelta`](crate::MeasurementDelta), or [`Delta`]
-    /// directly. Deltas naming unknown UGs are ignored;
-    /// `TopologyDelta::AddPeering` panics if the peering slot is outside
-    /// the deployment (`peering_count` is the world's fixed width).
+    /// directly. Rows naming unknown UGs are ignored, rows carrying a
+    /// negative or non-finite latency or weight are dropped and counted
+    /// in `core.delta_rejected_total`; `TopologyDelta::AddPeering` panics
+    /// if the peering slot is outside the deployment (`peering_count` is
+    /// the world's fixed width).
     pub fn apply_delta(&mut self, delta: impl Into<Delta>) {
-        let delta: Delta = delta.into();
-        let state = Self::ensure_incremental_state(&mut self.incr, &self.inputs);
-        let arena_fresh = !state.membership_changed;
-        let applied = incremental::apply_to_inputs(
-            &mut self.inputs,
-            &delta,
-            &state.index_of,
-            arena_fresh.then_some(&state.arena),
-        );
-        if applied.membership_changed {
-            state.membership_changed = true;
-        } else if arena_fresh {
-            for patch in &applied.patches {
-                match *patch {
-                    ArenaPatch::Latency { ug, peering, ms } => {
-                        state.arena.set_latency(ug, peering, ms);
-                    }
-                    ArenaPatch::Weight { ug, weight } => state.arena.set_weight(ug, weight),
-                }
-            }
+        let rejected =
+            incremental::apply_to_inputs(&mut self.inputs, &delta.into(), &mut self.ug_index);
+        if rejected > 0 {
+            obs_count!(self.obs, "core.delta_rejected_total", rejected);
         }
     }
 
-    /// Like [`Orchestrator::compute_config_traced`], but over the
-    /// persistent arena [`Orchestrator::apply_delta`] keeps patched
-    /// instead of one repacked from `inputs` (see [`crate::incremental`]).
-    /// **Bit-identical to a from-scratch recompute** at every scale and
-    /// thread count.
+    /// [`Orchestrator::compute_config_traced`] under the name the frozen
+    /// `perf/` package calls it by; nothing is kept between plans.
     pub fn compute_config_incremental(&mut self) -> (AdvertConfig, GreedyTrace) {
-        let state = Self::ensure_incremental_state(&mut self.incr, &self.inputs);
-        if state.membership_changed {
-            // Candidate-set membership changed: rebuild the CSR from the
-            // already-edited inputs (linear scan, no scoring).
-            state.arena = BenefitArena::from_inputs(&self.inputs);
-            state.membership_changed = false;
-        }
-        let state = self.incr.as_ref().expect("just ensured");
-        self.greedy_arena(&state.arena)
-    }
-
-    /// Drops the persistent arena. Required after editing `inputs` through
-    /// the public field; the next incremental call repacks from scratch.
-    pub fn invalidate_incremental(&mut self) {
-        self.incr = None;
-    }
-
-    /// The incremental state, (re)built when absent or when `inputs` was
-    /// resized behind its back — a stale arena would silently plan the
-    /// old world. Same-size out-of-band edits still need
-    /// [`Orchestrator::invalidate_incremental`].
-    fn ensure_incremental_state<'a>(
-        incr: &'a mut Option<IncrementalState>,
-        inputs: &OrchestratorInputs,
-    ) -> &'a mut IncrementalState {
-        if incr.as_ref().is_some_and(|s| {
-            s.arena.n_ugs() != inputs.ugs.len() || s.arena.n_peerings() != inputs.peering_count
-        }) {
-            *incr = None;
-        }
-        incr.get_or_insert_with(|| IncrementalState {
-            arena: BenefitArena::from_inputs(inputs),
-            index_of: inputs.index_of(),
-            membership_changed: false,
-        })
+        self.compute_config_traced()
     }
 
     /// Incremental reconfiguration (§5.1.3): refines a *deployed*
@@ -793,10 +731,10 @@ impl Orchestrator {
     /// Initial (empty-config) fill scores for every peering slot through
     /// the pre-arena nested-map path — per-peering `Vec<usize>` incidence
     /// lists and a `Vec<Vec<Option<f64>>>` expectation cache. `NaN` marks
-    /// slots with no incidence. Off the hot path; retained as the
-    /// baseline the SoA arena is benchmarked (`painter-bench`) and
-    /// equivalence-tested against.
-    pub fn fill_scores_reference(&self) -> Vec<f64> {
+    /// slots with no incidence. Retained as the reference the SoA arena
+    /// is equivalence-tested against.
+    #[cfg(test)]
+    fn fill_scores_reference(&self) -> Vec<f64> {
         let pb = self.config.prefix_budget;
         if pb == 0 {
             return vec![f64::NAN; self.inputs.peering_count];
@@ -818,9 +756,9 @@ impl Orchestrator {
             .collect()
     }
 
-    /// The same initial fill through the SoA arena, serial like the
-    /// reference so benchmarks compare memory layout alone. Bit-identical
-    /// to [`Orchestrator::fill_scores_reference`].
+    /// The initial (empty-config) fill scores for every peering slot
+    /// through the SoA arena, serially; `NaN` marks slots with no
+    /// incidence. `perf/` times it as `core.fill_s`.
     pub fn fill_scores_arena(&self, arena: &BenefitArena) -> Vec<f64> {
         if self.config.prefix_budget == 0 {
             return vec![f64::NAN; arena.n_peerings()];
@@ -834,6 +772,7 @@ impl Orchestrator {
     /// re-evaluated), now feeding only
     /// [`Orchestrator::fill_scores_reference`] and the rescore oracle
     /// test.
+    #[cfg(test)]
     fn candidate_delta(
         &self,
         pe: PeeringId,
@@ -872,6 +811,7 @@ impl Orchestrator {
 
     /// Benefit delta (weighted improvement change) for UG `u` if prefix
     /// `p_idx`'s peering set becomes `new_set`.
+    #[cfg(test)]
     fn ug_delta(
         &self,
         u: usize,
@@ -916,9 +856,6 @@ impl Orchestrator {
         config: &AdvertConfig,
         obs: &Observations,
     ) -> usize {
-        // Learning rewrites believed latencies and dominance facts
-        // wholesale; the incremental cache cannot track it delta-by-delta.
-        self.incr = None;
         let before = self.model.dominance_count();
         let mut corrections = 0u64;
         for (ug, prefix, landed) in &obs.landed {
@@ -1565,7 +1502,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_compute_matches_scratch_after_deltas() {
+    fn plan_after_deltas_is_the_fresh_plan_of_the_edited_inputs() {
         let f = fix(113);
         let mut gt = GroundTruth::compute(&f.net.graph, &f.dep, &f.ugs, 9);
         let inputs = inputs_from(&f, &mut gt);
@@ -1573,15 +1510,7 @@ mod tests {
             inputs,
             OrchestratorConfig { prefix_budget: 4, ..Default::default() },
         );
-        // The first incremental run agrees with the stateless path.
-        let (first, first_trace) = orch.compute_config_incremental();
-        let (scratch, scratch_trace) = orch.compute_config_traced();
-        assert_eq!(first, scratch);
-        assert_eq!(first_trace, scratch_trace);
-        // A second run over the kept arena, no deltas between, still agrees.
-        let (again, again_trace) = orch.compute_config_incremental();
-        assert_eq!(again, first);
-        assert_eq!(again_trace, first_trace);
+        let before = orch.compute_config_traced();
         // Mixed delta stream: RTT shift, peering removal, demand change.
         let ug = orch.inputs.ugs[0].id;
         let pe = orch.inputs.ugs[0].candidates[0].0;
@@ -1589,48 +1518,77 @@ mod tests {
         let victim = orch.inputs.ugs[1].candidates[0].0;
         orch.apply_delta(TopologyDelta::RemovePeering { peering: victim });
         orch.apply_delta(MeasurementDelta::DemandShift { ug, weight: 9.0 });
-        let (inc, inc_trace) = orch.compute_config_incremental();
+        let after = orch.compute_config_traced();
+        assert_ne!(after, before, "fixture: the deltas must change the plan");
         let fresh = Orchestrator::new(orch.inputs.clone(), orch.config.clone());
-        let (scr, scr_trace) = fresh.compute_config_traced();
-        assert_eq!(inc, scr, "incremental diverged from from-scratch recompute");
-        assert_eq!(inc_trace, scr_trace);
+        assert_eq!(after, fresh.compute_config_traced(), "deltas left more than edited inputs");
     }
 
     #[test]
-    fn out_of_band_resize_rebuilds_the_arena() {
+    fn hostile_deltas_are_counted_and_change_nothing() {
+        let f = fix(113);
+        let mut gt = GroundTruth::compute(&f.net.graph, &f.dep, &f.ugs, 9);
+        let mut orch = Orchestrator::new(inputs_from(&f, &mut gt), OrchestratorConfig::default());
+        let before = orch.compute_config_traced();
+        let ug = orch.inputs.ugs[0].id;
+        let peering = orch.inputs.ugs[0].candidates[0].0;
+        orch.apply_delta(MeasurementDelta::RttShift { ug, peering, ms: f64::NAN });
+        orch.apply_delta(MeasurementDelta::DemandShift { ug, weight: f64::NEG_INFINITY });
+        orch.apply_delta(TopologyDelta::AddPeering {
+            peering,
+            candidates: vec![(ug, -3.0), (ug, f64::INFINITY)],
+        });
+        assert_eq!(orch.compute_config_traced(), before);
+        let expected = painter_obs::enabled().then_some(4);
+        assert_eq!(orch.obs.snapshot().counter("core.delta_rejected_total"), expected);
+    }
+
+    #[test]
+    fn out_of_band_edits_are_planned() {
         let f = fix(114);
         let mut gt = GroundTruth::compute(&f.net.graph, &f.dep, &f.ugs, 9);
-        let inputs = inputs_from(&f, &mut gt);
-        let mut orch = Orchestrator::new(
-            inputs,
-            OrchestratorConfig { prefix_budget: 4, ..Default::default() },
-        );
-        let (before, _) = orch.compute_config_incremental();
-        // Append a UG behind the arena's back — no `invalidate_incremental`.
-        // Its weight dwarfs the world's and it gains only through the
-        // peering the first plan ranked last, so the plan must move.
-        let unused = (0..orch.inputs.peering_count as u32)
-            .map(PeeringId)
-            .rev()
-            .find(|&pe| before.iter().all(|(_, pes)| !pes.contains(&pe)))
-            .expect("fixture leaves a peering unadvertised");
-        let heavy = 1e3 * orch.inputs.ugs.iter().map(|u| u.weight).sum::<f64>();
-        let id = UgId(orch.inputs.ugs.iter().map(|u| u.id.0).max().unwrap() + 1);
-        orch.inputs.ugs.push(crate::inputs::UgView {
-            id,
-            metro: orch.inputs.ugs[0].metro,
-            weight: heavy,
-            anycast_ms: 200.0,
-            candidates: vec![(unused, 10.0)],
-        });
-        let row = orch.inputs.ug_pop_km[0].clone();
-        orch.inputs.ug_pop_km.push(row);
-        let (inc, inc_trace) = orch.compute_config_incremental();
-        let fresh = Orchestrator::new(orch.inputs.clone(), orch.config.clone());
-        let (scr, scr_trace) = fresh.compute_config_traced();
-        assert_ne!(scr, before, "fixture: the appended UG must change the plan");
-        assert_eq!(inc, scr, "incremental planned a stale arena after a resize");
-        assert_eq!(inc_trace, scr_trace);
+        let base = inputs_from(&f, &mut gt);
+        let heavy = 1e3 * base.ugs.iter().map(|u| u.weight).sum::<f64>();
+        // Both edits hand the world's weight to a peering the first plan
+        // left unadvertised, so the plan must move.
+        type Edit = fn(&mut OrchestratorInputs, &[PeeringId], f64);
+        let append_a_ug: Edit = |inputs, unadvertised, heavy| {
+            let id = UgId(inputs.ugs.iter().map(|u| u.id.0).max().unwrap() + 1);
+            inputs.ugs.push(crate::inputs::UgView {
+                id,
+                metro: inputs.ugs[0].metro,
+                weight: heavy,
+                anycast_ms: 200.0,
+                candidates: vec![(*unadvertised.last().unwrap(), 10.0)],
+            });
+            let row = inputs.ug_pop_km[0].clone();
+            inputs.ug_pop_km.push(row);
+        };
+        let same_length_weight: Edit = |inputs, unadvertised, heavy| {
+            let best_is_unadvertised = |u: &crate::inputs::UgView| {
+                let best = u.candidates.iter().min_by(|a, b| a.1.total_cmp(&b.1));
+                best.is_some_and(|(pe, ms)| *ms < u.anycast_ms && unadvertised.contains(pe))
+            };
+            let ug = inputs.ugs.iter_mut().find(|u| best_is_unadvertised(u));
+            ug.expect("fixture: some UG's best ingress is unadvertised").weight = heavy;
+        };
+        for (name, edit) in [("append a UG", append_a_ug), ("weight edit", same_length_weight)] {
+            let mut orch = Orchestrator::new(
+                base.clone(),
+                OrchestratorConfig { prefix_budget: 4, ..Default::default() },
+            );
+            let before = orch.compute_config_incremental();
+            let unadvertised: Vec<PeeringId> = (0..orch.inputs.peering_count as u32)
+                .map(PeeringId)
+                .filter(|pe| before.0.iter().all(|(_, pes)| !pes.contains(pe)))
+                .collect();
+            // Edited through the public field, and no other call.
+            edit(&mut orch.inputs, &unadvertised, heavy);
+            let after = orch.compute_config_incremental();
+            let fresh = Orchestrator::new(orch.inputs.clone(), orch.config.clone());
+            assert_ne!(after, before, "{name}: fixture must change the plan");
+            assert_eq!(after, fresh.compute_config_traced(), "{name}: planned a stale world");
+        }
     }
 
     #[test]

@@ -1,14 +1,21 @@
-//! Property: applying any delta stream through [`Orchestrator::apply_delta`]
-//! and recomputing incrementally yields results **bit-identical** to a
-//! from-scratch recompute on the mutated inputs — after every single
-//! delta, at every swept thread count. This is the hard equivalence
-//! contract behind the million-UG scale path: the persistent arena with
-//! its in-place patches and flagged CSR rebuilds must be invisible in
-//! the output.
+//! Deltas are edits of the inputs, and nothing else.
 //!
-//! Worlds and delta streams are derived from the proptest-drawn seed by
-//! plain FNV-fed code (the repo's seed-derived idiom), so cases are
-//! reproducible from the seed alone and shrinking shrinks the seed.
+//! Two seeded sweeps over hash-built worlds and delta streams (plain
+//! `#[test]`s, so they run wherever the crate builds):
+//!
+//! * [`Orchestrator::apply_delta`] leaves `inputs` exactly as an oracle
+//!   that applies the same edits by hand does — unknown UGs, upserts that
+//!   insert, removals, re-adds and rejected values included — compared
+//!   field by field at the bit level;
+//! * the plan and trace of the edited world are identical at 1 and 4
+//!   threads.
+//!
+//! Together with `out_of_band_edits_are_planned` (a plan is a function of
+//! `inputs` alone) these cover what the four property tests this file
+//! used to hold asserted about the persistent arena: after every delta,
+//! after a pure-shift stream and after a batch, the plan is the
+//! from-scratch plan of the edited inputs; and planning twice changes
+//! nothing.
 
 use painter_core::{
     Delta, GreedyTrace, MeasurementDelta, Orchestrator, OrchestratorConfig, OrchestratorInputs,
@@ -18,17 +25,11 @@ use painter_geo::MetroId;
 use painter_measure::UgId;
 use painter_obs::Fnv1a;
 use painter_topology::PeeringId;
-use proptest::prelude::*;
 
 const THREADS: [usize; 2] = [1, 4];
 
-/// `ProptestConfig { cases }` set explicitly would shadow the
-/// `PROPTEST_CASES` environment variable CI relies on, so read it by
-/// hand; the default stays small because every case runs a scratch
-/// recompute per delta per thread count.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(12)
-}
+/// Seeds each sweep visits.
+const SEEDS: std::ops::Range<u64> = 0..320;
 
 /// FNV-1a over a word sequence — the seed expander.
 fn h64(parts: &[u64]) -> u64 {
@@ -42,7 +43,7 @@ fn h64(parts: &[u64]) -> u64 {
 /// A random hand-built world: 2–15 UGs, 2–7 dense peerings over 1–3
 /// PoPs, per-UG candidate subsets with hashed believed latencies. Some
 /// UGs get anycast below their best candidate (zero benefit) and some
-/// get empty candidate sets — both must flow through the arena unharmed.
+/// get empty candidate sets — both must flow through a plan unharmed.
 fn world(seed: u64) -> OrchestratorInputs {
     let n_ugs = 2 + (h64(&[seed, 1]) % 14) as usize;
     let n_peerings = 2 + (h64(&[seed, 2]) % 6) as usize;
@@ -83,10 +84,20 @@ fn world(seed: u64) -> OrchestratorInputs {
     }
 }
 
+/// A value no delta may write, now and then.
+fn hostile(h: u64, value: f64) -> f64 {
+    match h % 16 {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => -value,
+        _ => value,
+    }
+}
+
 /// A hashed delta stream over the world's dimensions. UG ids are drawn
-/// slightly out of range on purpose (unknown ids must be ignored);
-/// peering ids stay in range (out-of-deployment adds are a panic by
-/// contract).
+/// slightly out of range on purpose (unknown ids must be ignored), about
+/// one value in five is hostile (must be rejected); peering ids stay in
+/// range (out-of-deployment adds are a panic by contract).
 fn deltas(seed: u64, n_ugs: usize, n_peerings: usize, len: usize) -> Vec<Delta> {
     (0..len)
         .map(|k| {
@@ -97,12 +108,12 @@ fn deltas(seed: u64, n_ugs: usize, n_peerings: usize, len: usize) -> Vec<Delta> 
                 0 => MeasurementDelta::RttShift {
                     ug,
                     peering,
-                    ms: 5.0 + ((h >> 16) % 1150) as f64 / 10.0,
+                    ms: hostile(h >> 52, 5.0 + ((h >> 16) % 1150) as f64 / 10.0),
                 }
                 .into(),
                 1 => MeasurementDelta::DemandShift {
                     ug,
-                    weight: 0.1 + ((h >> 16) % 990) as f64 / 100.0,
+                    weight: hostile(h >> 52, 0.1 + ((h >> 16) % 990) as f64 / 100.0),
                 }
                 .into(),
                 2 => TopologyDelta::RemovePeering { peering }.into(),
@@ -113,7 +124,7 @@ fn deltas(seed: u64, n_ugs: usize, n_peerings: usize, len: usize) -> Vec<Delta> 
                             let g = h64(&[h, j]);
                             (
                                 UgId((g % (n_ugs as u64 + 2)) as u32),
-                                5.0 + ((g >> 32) % 950) as f64 / 10.0,
+                                hostile(g >> 52, 5.0 + ((g >> 32) % 950) as f64 / 10.0),
                             )
                         })
                         .collect(),
@@ -125,8 +136,7 @@ fn deltas(seed: u64, n_ugs: usize, n_peerings: usize, len: usize) -> Vec<Delta> 
 }
 
 /// A stream that never changes candidate-set membership: `RttShift` on
-/// existing candidacies and `DemandShift` only, so every delta takes the
-/// in-place `ArenaPatch` path and the CSR is never rebuilt.
+/// existing candidacies and `DemandShift` only.
 fn pure_shifts(seed: u64, inputs: &OrchestratorInputs, len: usize) -> Vec<Delta> {
     let with_cands: Vec<&UgView> = inputs.ugs.iter().filter(|u| !u.candidates.is_empty()).collect();
     (0..len)
@@ -158,132 +168,145 @@ fn trace_bits(t: &GreedyTrace) -> Vec<(usize, u64)> {
     t.after_each_prefix.iter().map(|&(k, b)| (k, b.to_bits())).collect()
 }
 
-/// Applies `stream` one delta at a time and checks, after EVERY delta,
-/// that the incremental result is bit-identical to a from-scratch
-/// recompute, at every thread count, and that all thread counts agree
-/// with each other.
-fn check_every_delta(
-    seed: u64,
-    inputs: &OrchestratorInputs,
-    stream: &[Delta],
-) -> Result<(), TestCaseError> {
-    let mut final_configs = Vec::new();
-    for &threads in &THREADS {
-        let config = config_for(seed, threads);
-        let mut orch = Orchestrator::new(inputs.clone(), config.clone());
-
-        // First incremental compute == plain traced compute.
-        let (cold_incr, cold_trace_incr) = orch.compute_config_incremental();
-        let (cold_ref, cold_trace_ref) = orch.compute_config_traced();
-        prop_assert_eq!(&cold_incr, &cold_ref, "seed {}: cold diverged (t={})", seed, threads);
-        prop_assert_eq!(
-            trace_bits(&cold_trace_incr),
-            trace_bits(&cold_trace_ref),
-            "seed {}: cold trace diverged (t={})",
-            seed,
-            threads
-        );
-
-        let mut last = cold_incr;
-        for (step, delta) in stream.iter().enumerate() {
-            orch.apply_delta(delta.clone());
-            let (incr, incr_trace) = orch.compute_config_incremental();
-            let scratch = Orchestrator::new(orch.inputs.clone(), config.clone());
-            let (scratch_cfg, scratch_trace) = scratch.compute_config_traced();
-            prop_assert_eq!(
-                &incr,
-                &scratch_cfg,
-                "seed {} step {} (t={}): incremental != scratch after {:?}",
-                seed,
-                step,
-                threads,
-                delta
-            );
-            prop_assert_eq!(
-                trace_bits(&incr_trace),
-                trace_bits(&scratch_trace),
-                "seed {} step {} (t={}): trace diverged after {:?}",
-                seed,
-                step,
-                threads,
-                delta
-            );
-            last = incr;
-        }
-        final_configs.push(last);
-    }
-    for pair in final_configs.windows(2) {
-        prop_assert_eq!(&pair[0], &pair[1], "seed {}: thread counts disagree", seed);
-    }
-    Ok(())
+/// A latency or weight a delta may write.
+fn ok(value: f64) -> bool {
+    value.is_finite() && value >= 0.0
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
-
-    /// The core contract, over streams that mix in-place patches with
-    /// membership changes (adds, removes, discovered candidacies).
-    #[test]
-    fn incremental_equals_scratch_after_every_delta(seed in 0u64..100_000) {
-        let inputs = world(seed);
-        let stream = deltas(seed, inputs.ugs.len(), inputs.peering_count, 6);
-        check_every_delta(seed, &inputs, &stream)?;
+/// The `(ug, peering, value)` rows a delta asks to write; no peering
+/// means the value is a weight.
+fn rows_of(delta: &Delta) -> Vec<(UgId, Option<PeeringId>, f64)> {
+    match delta {
+        Delta::Topology(TopologyDelta::AddPeering { peering, candidates }) => {
+            candidates.iter().map(|&(ug, ms)| (ug, Some(*peering), ms)).collect()
+        }
+        Delta::Topology(TopologyDelta::RemovePeering { .. }) => Vec::new(),
+        Delta::Measurement(MeasurementDelta::RttShift { ug, peering, ms }) => {
+            vec![(*ug, Some(*peering), *ms)]
+        }
+        Delta::Measurement(MeasurementDelta::DemandShift { ug, weight }) => {
+            vec![(*ug, None, *weight)]
+        }
     }
+}
 
-    /// The same contract over a stream of pure shifts, which never
-    /// rebuilds the CSR: the arena built by the first compute is patched
-    /// in place for the whole stream.
-    #[test]
-    fn pure_shift_stream_equals_scratch(seed in 0u64..100_000) {
-        let inputs = world(seed);
-        let stream = pure_shifts(seed, &inputs, 8);
-        check_every_delta(seed, &inputs, &stream)?;
+/// What [`Orchestrator::apply_delta`] is specified to do, written the
+/// obvious way: find the UG by scanning, skip what must be skipped.
+fn apply_by_hand(inputs: &mut OrchestratorInputs, delta: &Delta) {
+    if let Delta::Topology(TopologyDelta::RemovePeering { peering }) = delta {
+        for ug in &mut inputs.ugs {
+            ug.candidates.retain(|(p, _)| p != peering);
+        }
     }
-
-    /// Deltas applied in bulk without recomputing in between must agree
-    /// with scratch too — patches and the rebuild flag accumulate correctly
-    /// across an arbitrarily long unobserved mutation window.
-    #[test]
-    fn batched_deltas_equal_scratch(seed in 0u64..100_000) {
-        let inputs = world(seed);
-        let stream = deltas(h64(&[seed, 12]), inputs.ugs.len(), inputs.peering_count, 12);
-        for &threads in &THREADS {
-            let config = config_for(seed, threads);
-            let mut orch = Orchestrator::new(inputs.clone(), config.clone());
-            let _ = orch.compute_config_incremental(); // build the persistent arena
-            for delta in &stream {
-                orch.apply_delta(delta.clone());
+    for (ug, pe, value) in rows_of(delta) {
+        let Some(ug) = inputs.ugs.iter_mut().find(|u| u.id == ug) else { continue };
+        if !ok(value) {
+            continue;
+        }
+        let Some(pe) = pe else {
+            ug.weight = value;
+            continue;
+        };
+        match ug.candidates.iter_mut().find(|(p, _)| *p == pe) {
+            Some(row) => row.1 = value,
+            None => {
+                ug.candidates.push((pe, value));
+                ug.candidates.sort_by_key(|&(p, _)| p);
             }
-            let (incr, incr_trace) = orch.compute_config_incremental();
-            let scratch = Orchestrator::new(orch.inputs.clone(), config.clone());
-            let (scratch_cfg, scratch_trace) = scratch.compute_config_traced();
-            prop_assert_eq!(
-                &incr, &scratch_cfg,
-                "seed {}: batched incremental != scratch (t={})", seed, threads
-            );
-            prop_assert_eq!(
-                trace_bits(&incr_trace),
-                trace_bits(&scratch_trace),
-                "seed {}: batched trace diverged (t={})", seed, threads
-            );
         }
     }
+}
 
-    /// A recompute with no intervening deltas runs over the same arena
-    /// and must reproduce the previous result exactly.
-    #[test]
-    fn recompute_without_deltas_is_idempotent(seed in 0u64..100_000) {
+/// Every field of every UG, floats as bits.
+type UgBits = (UgId, MetroId, u64, u64, Vec<(PeeringId, u64)>);
+
+fn ug_bits(inputs: &OrchestratorInputs) -> Vec<UgBits> {
+    let row = |u: &UgView| u.candidates.iter().map(|&(p, ms)| (p, ms.to_bits())).collect();
+    inputs
+        .ugs
+        .iter()
+        .map(|u| (u.id, u.metro, u.weight.to_bits(), u.anycast_ms.to_bits(), row(u)))
+        .collect()
+}
+
+/// The three stream shapes the sweeps visit: mixed, membership-preserving,
+/// and a long mixed batch from a different sub-seed.
+fn streams(seed: u64, inputs: &OrchestratorInputs) -> [Vec<Delta>; 3] {
+    let (n_ugs, n_peerings) = (inputs.ugs.len(), inputs.peering_count);
+    [
+        deltas(seed, n_ugs, n_peerings, 6),
+        pure_shifts(seed, inputs, 8),
+        deltas(h64(&[seed, 12]), n_ugs, n_peerings, 12),
+    ]
+}
+
+#[test]
+fn apply_delta_edits_inputs_like_the_oracle() {
+    // Rows seen per case: rejected value, unknown UG, update, insert,
+    // insert into a peering an earlier delta removed.
+    let mut seen = [0usize; 5];
+    for seed in SEEDS {
         let inputs = world(seed);
-        for &threads in &THREADS {
-            let mut orch = Orchestrator::new(inputs.clone(), config_for(seed, threads));
-            let (first, first_trace) = orch.compute_config_incremental();
-            let (again, again_trace) = orch.compute_config_incremental();
-            prop_assert_eq!(&first, &again, "seed {}: recompute changed config", seed);
-            prop_assert_eq!(
-                trace_bits(&first_trace),
-                trace_bits(&again_trace),
-                "seed {}: recompute changed trace", seed
-            );
+        for stream in streams(seed, &inputs) {
+            let mut orch = Orchestrator::new(inputs.clone(), config_for(seed, 1));
+            let mut expected = inputs.clone();
+            let mut removed: Vec<PeeringId> = Vec::new();
+            for (step, delta) in stream.iter().enumerate() {
+                for (ug, pe, value) in rows_of(delta) {
+                    let case = if !ok(value) {
+                        0
+                    } else {
+                        match (expected.ugs.iter().find(|u| u.id == ug), pe) {
+                            (None, _) => 1,
+                            (Some(u), Some(pe)) if u.latency_via(pe).is_none() => {
+                                3 + usize::from(removed.contains(&pe))
+                            }
+                            (Some(_), _) => 2,
+                        }
+                    };
+                    seen[case] += 1;
+                }
+                if let Delta::Topology(TopologyDelta::RemovePeering { peering }) = delta {
+                    removed.push(*peering);
+                }
+                orch.apply_delta(delta.clone());
+                apply_by_hand(&mut expected, delta);
+                assert_eq!(
+                    ug_bits(&orch.inputs),
+                    ug_bits(&expected),
+                    "seed {seed} step {step}: {delta:?}"
+                );
+            }
+            // Nothing but `ugs` is a delta's to touch.
+            assert_eq!(orch.inputs.ug_pop_km, inputs.ug_pop_km, "seed {seed}");
+            assert_eq!(orch.inputs.peering_pop, inputs.peering_pop, "seed {seed}");
+            assert_eq!(orch.inputs.peering_count, inputs.peering_count, "seed {seed}");
         }
     }
+    assert!(seen.iter().all(|&n| n >= 50), "a case went (nearly) unvisited: {seen:?}");
+}
+
+#[test]
+fn post_delta_plan_is_thread_invariant() {
+    let mut moved = 0usize;
+    for seed in SEEDS {
+        let inputs = world(seed);
+        for stream in streams(seed, &inputs) {
+            let plans: Vec<_> = THREADS
+                .iter()
+                .map(|&threads| {
+                    let mut orch = Orchestrator::new(inputs.clone(), config_for(seed, threads));
+                    let cold = orch.compute_config();
+                    for delta in &stream {
+                        orch.apply_delta(delta.clone());
+                    }
+                    let (config, trace) = orch.compute_config_traced();
+                    moved += usize::from(config != cold);
+                    (config, trace_bits(&trace))
+                })
+                .collect();
+            assert_eq!(plans[0], plans[1], "seed {seed}: thread counts disagree");
+        }
+    }
+    assert!(moved >= 100, "the streams moved only {moved} plans");
 }

@@ -9,7 +9,7 @@
 //! figures guard-tune [flags]         # guard co-evolution vs the corpus (guard.tune.*)
 //! figures farm [flags]               # multi-seed corpus farm, one class per failure mode
 //! figures lp-gap [flags]             # exact LP vs greedy optimality gap (lp.*)
-//! figures scale [flags]              # million-UG scale sweep (scale.* + BENCH_scale.json)
+//! figures scale [flags]              # million-UG scale sweep (scale.* sections)
 //! figures soak [flags]               # long-horizon soak campaign (soak.* sections)
 //! figures explain [flags]            # causal timeline + incident attribution
 //! figures list                       # available ids
@@ -28,8 +28,6 @@
 //!                    (default 8)
 //! --corpus <dir>     guard-tune: corpus of pinned reproducers to tune
 //!                    against (default "corpus"; missing dir = empty)
-//! --bench-out <p>    scale: where the wall-clock trajectory JSON goes
-//!                    (default "BENCH_scale.json")
 //! --markdown         EXPERIMENTS-style summary rows (id | title | notes)
 //! --csv              full per-series CSV dump (the old default)
 //! --report <p>.json  also write the structured RunReport as JSON
@@ -66,7 +64,7 @@ fn main() {
              scale|soak|explain \
              [--test] [--seed <n>] [--seeds <a,b,..>] [--budget <n>] [--pin <dir>] \
              [--guard <preset>] [--rounds <n>] [--adv-budget <n>] [--corpus <dir>] \
-             [--bench-out <path>.json] [--markdown|--csv] [--report <path>.json] \
+             [--markdown|--csv] [--report <path>.json] \
              [--scenario <path>.json] [--chrome <path>.json]"
         );
         return;
@@ -168,16 +166,6 @@ fn main() {
                 .collect()
         })
         .unwrap_or_else(|| vec![seed, seed + 1]);
-    let bench_out = args
-        .iter()
-        .position(|a| a == "--bench-out")
-        .map(|i| {
-            args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("--bench-out requires a path argument");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
     let mut skip_next = false;
     let mut requested: Vec<&str> = if args.iter().any(|a| a == "all") {
         ALL_FIGURES.to_vec()
@@ -197,7 +185,6 @@ fn main() {
                     || *a == "--rounds"
                     || *a == "--adv-budget"
                     || *a == "--corpus"
-                    || *a == "--bench-out"
                     || *a == "--scenario"
                     || *a == "--chrome"
                 {
@@ -380,14 +367,6 @@ fn main() {
             Ok(scale_run) => {
                 for section in scale_run.sections() {
                     report.push_section(section);
-                }
-                // Wall-clock measurements are deliberately kept off the
-                // (byte-compared) report; they go to the bench trajectory.
-                if let Err(e) = std::fs::write(&bench_out, scale_run.bench().to_json()) {
-                    eprintln!("failed to write bench trajectory to {bench_out}: {e}");
-                    failed = true;
-                } else {
-                    eprintln!("wrote bench trajectory: {bench_out}");
                 }
             }
             Err(e) => {

@@ -1,5 +1,4 @@
-//! Million-UG scale sweep (`figures scale`, `scale.*` sections,
-//! `BENCH_scale.json`).
+//! Million-UG scale sweep (`figures scale`, `scale.*` sections).
 //!
 //! The paper's deployments are small (tens of PoPs), but the
 //! orchestrator's data structures claim to scale to cloud-provider UG
@@ -7,21 +6,15 @@
 //! of UG counts × peering counts × thread counts over a synthetic world
 //! built from the [`TopologyConfig::scale`] generator, and on every cell
 //!
-//! 1. runs a cold full computation through the SoA benefit arena,
+//! 1. plans the cold world,
 //! 2. applies a deterministic delta stream (RTT shifts, demand shifts,
-//!    peering adds/removes) through [`Orchestrator::apply_delta`],
-//! 3. recomputes over the persistent, patched-in-place arena
-//!    ([`Orchestrator::compute_config_incremental`]), and
-//! 4. recomputes from scratch on the mutated inputs — and **fails** the
-//!    run unless the incremental [`AdvertConfig`] and `GreedyTrace` are
-//!    identical to the scratch ones, and identical across every swept
-//!    thread count.
+//!    peering adds/removes) through [`Orchestrator::apply_delta`], and
+//! 3. plans the edited world — and **fails** the run unless both
+//!    [`AdvertConfig`]s are identical across every swept thread count.
 //!
-//! Output is split by determinism: everything in the `scale.*` report
-//! sections is a pure function of the config (CI byte-compares two
-//! same-seed runs), while wall-clock timings go only into the
-//! [`BenchTrajectory`] (`BENCH_scale.json`), whose *shape* — not its
-//! values — is pinned by tests.
+//! Everything in the `scale.*` report sections is a pure function of the
+//! config (CI byte-compares two same-seed runs). Wall-clock figures for
+//! the same worlds are `plan-cold-100k` / `replan-delta-100k` in `perf/`.
 
 use crate::scenario::Scale;
 use painter_bgp::AdvertConfig;
@@ -31,9 +24,8 @@ use painter_core::{
 };
 use painter_geo::{metro, one_way_ms, GeoPoint, MetroId, WORLD_METROS};
 use painter_measure::{build_user_groups, UgId, UserGroup};
-use painter_obs::{BenchCell, BenchTrajectory, Fnv1a, Section};
+use painter_obs::{Fnv1a, Section};
 use painter_topology::{generate, PeeringId, TopologyConfig};
-use std::time::Instant;
 
 /// Knobs for one [`run_scale`] sweep.
 #[derive(Debug, Clone)]
@@ -57,7 +49,7 @@ pub struct ScaleConfig {
     /// benefit — an absolute threshold would not transfer across UG
     /// populations spanning two orders of magnitude.
     pub min_marginal_frac: f64,
-    /// Deltas applied between the cold and the incremental computation.
+    /// Deltas applied between the cold and the post-delta computation.
     pub deltas: usize,
     /// Candidacies a synthetic `AddPeering` delta carries.
     pub add_candidates: usize,
@@ -96,8 +88,7 @@ impl ScaleConfig {
     }
 }
 
-/// One swept cell: deterministic facts only (timings live in
-/// [`ScaleRun::bench`]).
+/// One swept cell: deterministic facts only.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
     pub n_ugs: usize,
@@ -109,7 +100,7 @@ pub struct CellOutcome {
     pub cold_prefixes: usize,
     pub cold_pairs: usize,
     pub cold_fnv: u64,
-    /// Post-delta incremental computation (scratch-verified).
+    /// Post-delta computation.
     pub incr_prefixes: usize,
     pub incr_pairs: usize,
     pub incr_fnv: u64,
@@ -117,20 +108,10 @@ pub struct CellOutcome {
     pub incr_benefit: f64,
     /// Deltas applied between the two computations.
     pub deltas: usize,
-    /// Incremental == from-scratch on the mutated inputs (a `false`
-    /// never reaches a report: [`run_scale`] errors instead).
-    pub matches_scratch: bool,
-    /// Wall-clock timings, exported via [`ScaleRun::bench`] only.
-    build_ms: f64,
-    full_ms: f64,
-    apply_ms: f64,
-    incr_ms: f64,
-    scratch_ms: f64,
 }
 
 impl CellOutcome {
-    /// The `<ug>x<peer>x<thr>` label shared by the report section and the
-    /// bench cell.
+    /// The `<ug>x<peer>x<thr>` label of the report section.
     pub fn label(&self) -> String {
         format!("{}x{}x{}", self.n_ugs, self.n_peerings, self.threads)
     }
@@ -150,18 +131,6 @@ impl CellOutcome {
             .field("incr_fnv", self.incr_fnv)
             .field("incr_benefit", self.incr_benefit)
             .field("deltas", self.deltas)
-            .field("matches_scratch", self.matches_scratch)
-    }
-
-    /// The cell's wall-clock measurements as a bench cell.
-    fn bench_cell(&self) -> BenchCell {
-        BenchCell::new(self.label())
-            .field("build_ms", self.build_ms)
-            .field("full_ms", self.full_ms)
-            .field("apply_ms", self.apply_ms)
-            .field("incr_ms", self.incr_ms)
-            .field("scratch_ms", self.scratch_ms)
-            .field("speedup", self.scratch_ms / self.incr_ms)
     }
 }
 
@@ -191,20 +160,10 @@ impl ScaleRun {
         out.extend(self.cells.iter().map(CellOutcome::section));
         out
     }
-
-    /// The run's wall-clock measurements as a `BENCH_scale.json`
-    /// trajectory (one bench cell per swept cell, in sweep order).
-    pub fn bench(&self) -> BenchTrajectory {
-        let mut t = BenchTrajectory::new("scale");
-        for cell in &self.cells {
-            t.push_cell(cell.bench_cell());
-        }
-        t
-    }
 }
 
-/// Runs the full sweep; errors if any cell's incremental result diverges
-/// from its from-scratch recompute, or if any two thread counts disagree.
+/// Runs the full sweep; errors if any two thread counts disagree on a
+/// cell's cold or post-delta configuration.
 pub fn run_scale(scale: Scale, config: ScaleConfig) -> Result<ScaleRun, String> {
     if config.thread_counts.is_empty() || config.pops == 0 {
         return Err("scale sweep needs at least one thread count and one pop".to_string());
@@ -214,20 +173,11 @@ pub fn run_scale(scale: Scale, config: ScaleConfig) -> Result<ScaleRun, String> 
         let world = generate(TopologyConfig::scale(config.seed, n_ugs));
         let ugs = build_user_groups(&world, config.seed);
         for &n_peerings in &config.peering_counts {
-            let t0 = Instant::now();
             let inputs = synthesize_inputs(&config, &ugs, n_peerings);
-            let build_ms = ms_since(t0);
             let deltas = delta_stream(&config, n_ugs, n_peerings);
             let mut first_of_sweep: Option<(u64, u64)> = None;
             for &threads in &config.thread_counts {
-                let cell =
-                    run_cell(&config, &inputs, &deltas, n_ugs, n_peerings, threads, build_ms)?;
-                if !cell.matches_scratch {
-                    return Err(format!(
-                        "cell {}: incremental result diverged from scratch recompute",
-                        cell.label()
-                    ));
-                }
+                let cell = run_cell(&config, &inputs, &deltas, threads);
                 match first_of_sweep {
                     None => first_of_sweep = Some((cell.cold_fnv, cell.incr_fnv)),
                     Some(expect) if expect != (cell.cold_fnv, cell.incr_fnv) => {
@@ -245,56 +195,13 @@ pub fn run_scale(scale: Scale, config: ScaleConfig) -> Result<ScaleRun, String> 
     Ok(ScaleRun { scale, config, cells })
 }
 
-/// Validates the shape of a `BENCH_scale.json` document: parseable, at
-/// least one cell, `<ug>x<peer>x<thr>` labels whose UG counts never
-/// decrease in file order, and finite positive wall-time fields.
-pub fn check_bench_shape(json: &str) -> Result<(), String> {
-    let doc = painter_obs::json::parse(json).map_err(|e| format!("unparseable bench: {e}"))?;
-    if doc.get("name").and_then(|v| v.as_str()).is_none() {
-        return Err("bench missing name".to_string());
-    }
-    let cells = doc.get("cells").and_then(|v| v.as_array()).ok_or("bench missing cells array")?;
-    if cells.is_empty() {
-        return Err("bench has no cells".to_string());
-    }
-    let mut prev_ugs = 0usize;
-    for cell in cells {
-        let label = cell.get("label").and_then(|v| v.as_str()).ok_or("bench cell missing label")?;
-        let parts: Vec<&str> = label.split('x').collect();
-        if parts.len() != 3 {
-            return Err(format!("bench label {label:?} is not <ug>x<peer>x<thr>"));
-        }
-        let ugs: usize =
-            parts[0].parse().map_err(|_| format!("bench label {label:?} has no UG count"))?;
-        if ugs < prev_ugs {
-            return Err(format!("bench UG counts not monotone at {label:?}"));
-        }
-        prev_ugs = ugs;
-        let fields = cell.get("fields").ok_or("bench cell missing fields")?;
-        for name in ["build_ms", "full_ms", "apply_ms", "incr_ms", "scratch_ms"] {
-            let v = fields
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("cell {label}: missing wall-time {name}"))?;
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("cell {label}: wall-time {name} = {v} not positive"));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// One cell: cold compute, delta stream, incremental recompute, scratch
-/// recompute, equivalence check.
+/// One cell: cold plan, delta stream, post-delta plan.
 fn run_cell(
     config: &ScaleConfig,
     inputs: &OrchestratorInputs,
     deltas: &[Delta],
-    n_ugs: usize,
-    n_peerings: usize,
     threads: usize,
-    build_ms: f64,
-) -> Result<CellOutcome, String> {
+) -> CellOutcome {
     let orch_config = OrchestratorConfig {
         prefix_budget: config.prefix_budget,
         threads: Some(threads),
@@ -302,30 +209,14 @@ fn run_cell(
         ..Default::default()
     };
     let mut orch = Orchestrator::new(inputs.clone(), orch_config);
-
-    let t0 = Instant::now();
-    let (cold_config, _cold_trace) = orch.compute_config_incremental();
-    let full_ms = ms_since(t0);
-
-    let t0 = Instant::now();
+    let cold_config = orch.compute_config();
     for delta in deltas {
         orch.apply_delta(delta.clone());
     }
-    let apply_ms = ms_since(t0);
-
-    let t0 = Instant::now();
-    let (incr_config, incr_trace) = orch.compute_config_incremental();
-    let incr_ms = ms_since(t0);
-
-    let t0 = Instant::now();
-    let scratch = Orchestrator::new(orch.inputs.clone(), orch.config.clone());
-    let (scratch_config, scratch_trace) = scratch.compute_config_traced();
-    let scratch_ms = ms_since(t0);
-
-    let incr_benefit = incr_trace.after_each_prefix.last().map(|&(_, b)| b).unwrap_or(0.0);
-    Ok(CellOutcome {
-        n_ugs,
-        n_peerings,
+    let (incr_config, incr_trace) = orch.compute_config_traced();
+    CellOutcome {
+        n_ugs: inputs.ugs.len(),
+        n_peerings: inputs.peering_count,
         threads,
         candidacies: inputs.ugs.iter().map(|u| u.candidates.len()).sum(),
         cold_prefixes: cold_config.prefix_count(),
@@ -334,15 +225,9 @@ fn run_cell(
         incr_prefixes: incr_config.prefix_count(),
         incr_pairs: incr_config.pair_count(),
         incr_fnv: advert_fnv(&incr_config),
-        incr_benefit,
+        incr_benefit: incr_trace.after_each_prefix.last().map_or(0.0, |&(_, b)| b),
         deltas: deltas.len(),
-        matches_scratch: incr_config == scratch_config && incr_trace == scratch_trace,
-        build_ms,
-        full_ms,
-        apply_ms,
-        incr_ms,
-        scratch_ms,
-    })
+    }
 }
 
 /// Synthesizes orchestrator inputs over the generated stub population:
@@ -472,18 +357,12 @@ fn h64(parts: &[u64]) -> u64 {
     h.finish()
 }
 
-fn ms_since(t0: Instant) -> f64 {
-    // Floor at a nanosecond so bench fields stay strictly positive even
-    // on coarse clocks.
-    (t0.elapsed().as_secs_f64() * 1e3).max(1e-6)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Debug-build-sized sweep: the schema and the equivalence contract
-    /// are what is under test, not the cell sizes.
+    /// Debug-build-sized sweep: the schema and thread invariance are
+    /// what is under test, not the cell sizes.
     fn tiny(seed: u64) -> ScaleConfig {
         ScaleConfig {
             ug_counts: vec![400, 900],
@@ -516,11 +395,15 @@ mod tests {
     }
 
     #[test]
-    fn tiny_sweep_is_deterministic_and_scratch_equivalent() {
-        let a = run_scale(Scale::Test, tiny(5)).expect("sweep a");
+    fn tiny_sweep_is_deterministic_and_covers_every_cell() {
+        let config = tiny(5);
+        let expected =
+            config.ug_counts.len() * config.peering_counts.len() * config.thread_counts.len();
+        let a = run_scale(Scale::Test, config).expect("sweep a");
         let b = run_scale(Scale::Test, tiny(5)).expect("sweep b");
-        // run_scale already errors on any incremental/scratch or
-        // cross-thread divergence; determinism is checked by rendering.
+        assert_eq!(a.cells.len(), expected);
+        // run_scale already errors on any cross-thread divergence;
+        // determinism is checked by rendering.
         let render = |r: &ScaleRun| {
             let mut report = painter_obs::RunReport::new("scale");
             for s in r.sections() {
@@ -529,42 +412,11 @@ mod tests {
             report.to_json()
         };
         assert_eq!(render(&a), render(&b));
-        assert!(a.cells.iter().all(|c| c.matches_scratch));
         // The delta stream actually perturbs the plan somewhere in the
-        // sweep — otherwise the equivalence check proves nothing.
+        // sweep — otherwise the post-delta digests prove nothing.
         assert!(
             a.cells.iter().any(|c| c.cold_fnv != c.incr_fnv),
             "deltas never changed any configuration"
         );
-    }
-
-    #[test]
-    fn bench_trajectory_covers_every_cell_and_passes_shape_check() {
-        let config = tiny(7);
-        let expected =
-            config.ug_counts.len() * config.peering_counts.len() * config.thread_counts.len();
-        let run = run_scale(Scale::Test, config).expect("sweep");
-        assert_eq!(run.cells.len(), expected);
-        let bench = run.bench();
-        assert_eq!(bench.cells.len(), expected);
-        for cell in &run.cells {
-            assert!(bench.cell(&cell.label()).is_some(), "bench missing {}", cell.label());
-        }
-        check_bench_shape(&bench.to_json()).expect("shape");
-    }
-
-    #[test]
-    fn shape_check_rejects_malformed_documents() {
-        assert!(check_bench_shape("not json").is_err());
-        assert!(check_bench_shape(r#"{"name":"scale","cells":[]}"#).is_err());
-        // Non-monotone UG counts.
-        let bad = r#"{"name":"scale","cells":[
-            {"label":"900x12x1","fields":{"build_ms":1.0,"full_ms":1.0,"apply_ms":1.0,"incr_ms":1.0,"scratch_ms":1.0}},
-            {"label":"400x12x1","fields":{"build_ms":1.0,"full_ms":1.0,"apply_ms":1.0,"incr_ms":1.0,"scratch_ms":1.0}}]}"#;
-        assert!(check_bench_shape(bad).is_err());
-        // Missing wall-time field.
-        let missing = r#"{"name":"scale","cells":[
-            {"label":"400x12x1","fields":{"build_ms":1.0}}]}"#;
-        assert!(check_bench_shape(missing).is_err());
     }
 }

@@ -17,8 +17,6 @@
 //! * [`RunReport`] — a structured, JSON-serializable snapshot of a run:
 //!   per-subsystem summary sections plus a full metric [`Snapshot`].
 //!   [`json`] holds the dependency-free emitter/parser used for it.
-//! * [`BenchTrajectory`] — wall-clock bench output ([`bench`]), kept out
-//!   of run reports so those stay byte-deterministic for CI comparison.
 //! * [`TraceSink`] — a causally-linked flight recorder: typed
 //!   [`TraceEvent`]s with stable ids and `cause` back-references on the
 //!   simulated clock, exportable as Chrome-trace JSON ([`trace`]).
@@ -41,7 +39,6 @@
 //! `_total`, histograms carry their unit suffix, gauges name the level
 //! they track.
 
-pub mod bench;
 pub mod json;
 pub mod report;
 pub mod trace;
@@ -56,7 +53,6 @@ mod noop;
 #[cfg(feature = "obs-off")]
 pub use noop::{Counter, EventRecord, Gauge, Histogram, Registry, Span};
 
-pub use bench::{BenchCell, BenchTrajectory};
 pub use report::{
     bucket_index, bucket_upper_bound, HistogramSnapshot, MetricSnapshot, RunReport, Section,
     Snapshot, Value, BUCKETS,

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Tier-1 in a container without a registry: copy the tree to a shadow
 # directory, point every crates.io dependency at a stand-in, and run the
-# test binaries that build under them: the root package's, and the unit tests
-# of painter-core and painter-eval. `proptest!` bodies compile away, so the
-# property-test binaries are left out (ROADMAP item 4(b)).
+# test binaries that build under them: the root package's and painter-core's
+# integration tests, and the unit tests of painter-core and painter-eval.
+# `proptest!` bodies compile away, so the test files that mention proptest
+# are left out (ROADMAP item 4(b)).
 #   scripts/shadow.sh [shadow-dir] [extra cargo-test args, e.g. --features obs-off]
 set -eu
 cd "$(dirname "$0")/.."
@@ -33,13 +34,17 @@ sed -i 's|^members = \["crates/\*"\]|&\nexclude = ["perf", "stubs"]|' Cargo.toml
         echo "$stub = { path = \"stubs/$stub\" }"
     done
 } >>Cargo.toml
-tests=""
-for t in tests/*.rs; do
-    grep -q 'proptest' "$t" || tests="$tests --test $(basename "$t" .rs)"
-done
+# The `--test` flags for the files under $1 that do not mention proptest.
+plain_tests() {
+    for t in "$1"/*.rs; do
+        grep -q 'proptest' "$t" || printf ' --test %s' "$(basename "$t" .rs)"
+    done
+}
 status=0
-# shellcheck disable=SC2086
-cargo test --offline --release --no-fail-fast -p painter $tests "$@" || status=$?
+# shellcheck disable=SC2046
+cargo test --offline --release --no-fail-fast -p painter $(plain_tests tests) "$@" || status=$?
+# shellcheck disable=SC2046
+cargo test --offline --release --no-fail-fast -p painter-core $(plain_tests crates/core/tests) "$@" || status=$?
 cargo test --offline --release --no-fail-fast -p painter-core -p painter-eval --lib "$@" || status=$?
 # Debug too: the `debug_assert!` precondition tests exist only there.
 cargo test --offline --no-fail-fast -p painter-core --lib "$@" || status=$?
