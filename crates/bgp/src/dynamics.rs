@@ -18,7 +18,7 @@
 //! Determinism: all jitter comes from a seeded [`SimRng`], and event
 //! ordering is the deterministic FIFO of `painter-eventsim`.
 
-use crate::path::PathModel;
+use crate::path::{PathModel, PathRtt};
 use crate::prefix::PrefixId;
 use painter_eventsim::{EventQueue, SimRng, SimTime};
 use painter_geo::{metro, min_rtt_ms, MetroId};
@@ -172,6 +172,8 @@ pub struct BgpEngine<'a> {
     queue: EventQueue<Event>,
     rng: SimRng,
     now: SimTime,
+    /// Events handled so far (see [`BgpEngine::generation`]).
+    generation: u64,
     churn: Vec<ChurnRecord>,
     /// Flight recorder for cloud-side control-plane events. Inert by
     /// default; zero-sized under `obs-off`. Emission never touches the
@@ -203,6 +205,7 @@ impl<'a> BgpEngine<'a> {
             queue: EventQueue::new(),
             rng,
             now: SimTime::ZERO,
+            generation: 0,
             churn: Vec::new(),
             trace: TraceSink::inert(),
         }
@@ -303,7 +306,10 @@ impl<'a> BgpEngine<'a> {
                 break;
             }
             let (t, ev) = self.queue.pop().expect("peeked");
-            self.now = t;
+            // An event scheduled in the past fires now: the clock and the
+            // churn log never run backwards.
+            self.now = self.now.max(t);
+            self.generation += 1;
             self.handle(ev);
         }
         self.now = until.max(self.now);
@@ -314,6 +320,16 @@ impl<'a> BgpEngine<'a> {
         self.now
     }
 
+    /// Events handled so far: the version stamp of the forwarding state.
+    /// Selected routes and active sessions change only while an event is
+    /// handled, so every data-plane read ([`BgpEngine::current_route`] and
+    /// its wrappers) returns the same answer for as long as this number
+    /// does. Scheduling calls do not move it; handling an event always
+    /// does, whether or not that event changed a route.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// The churn log (every update delivered so far, in delivery order).
     pub fn churn(&self) -> &[ChurnRecord] {
         &self.churn
@@ -321,41 +337,71 @@ impl<'a> BgpEngine<'a> {
 
     /// Number of updates for `prefix` delivered in `[from, to)`.
     pub fn updates_in_window(&self, prefix: PrefixId, from: SimTime, to: SimTime) -> usize {
-        self.churn.iter().filter(|r| r.prefix == prefix && r.time >= from && r.time < to).count()
+        // Delivery order is time order, so the window is one slice.
+        let lo = self.churn.partition_point(|r| r.time < from);
+        let hi = self.churn.partition_point(|r| r.time < to);
+        self.churn.get(lo..hi).map_or(0, |w| w.iter().filter(|r| r.prefix == prefix).count())
     }
 
-    /// The current *data-plane* path from `src` for `prefix`: follows each
-    /// AS's currently selected best hop. Returns the AS path and ingress
-    /// peering, or `None` if a hop is missing, a transient loop exists, or
-    /// the final peering is no longer active — i.e. the prefix is
-    /// unreachable from `src` right now.
+    /// The current *data-plane* route from `src` for `prefix`, in one
+    /// allocation-free walk: the ingress peering it lands on and its
+    /// round-trip latency for traffic originating at `src_metro`. `None`
+    /// if `src` is not in the graph, a hop is missing, a transient loop
+    /// exists, or the final peering is no longer active — i.e. the prefix
+    /// is unreachable from `src` right now.
+    pub fn current_route(
+        &self,
+        src: AsId,
+        src_metro: MetroId,
+        prefix: PrefixId,
+    ) -> Option<(PeeringId, f64)> {
+        let mut rtt = PathRtt::new(PathModel::new(self.graph, self.deployment), src_metro);
+        let ingress = self.walk(src, prefix, |from, to| rtt.hop(from, to))?;
+        Some((ingress, rtt.finish(ingress)))
+    }
+
+    /// The ingress of [`BgpEngine::current_route`] alone, for callers with
+    /// no use for the latency.
+    pub fn current_ingress(&self, src: AsId, prefix: PrefixId) -> Option<PeeringId> {
+        self.walk(src, prefix, |_, _| {})
+    }
+
+    /// [`BgpEngine::current_route`] materialised: the AS path (from `src`
+    /// to the cloud neighbor, both inclusive) and the ingress peering.
     pub fn current_path(&self, src: AsId, prefix: PrefixId) -> Option<(Vec<AsId>, PeeringId)> {
-        let mut path = Vec::new();
-        let mut seen = HashSet::new();
-        let mut cur = src;
-        loop {
-            if !seen.insert(cur) {
-                return None; // transient forwarding loop
-            }
-            path.push(cur);
-            let best = *self.states[cur.idx()].best.get(&prefix)?;
-            match best {
-                Source::Neighbor(n) => cur = n,
-                Source::Cloud(p) => {
-                    if !self.cloud_active.contains(&(prefix, p)) {
-                        return None; // stale route to a withdrawn session
-                    }
-                    return Some((path, p));
-                }
-            }
-        }
+        let mut path = vec![src];
+        let ingress = self.walk(src, prefix, |_, to| path.push(to))?;
+        Some((path, ingress))
     }
 
     /// Round-trip latency of the current data-plane path from a UG, or
     /// `None` if unreachable.
     pub fn current_rtt_ms(&self, src: AsId, src_metro: MetroId, prefix: PrefixId) -> Option<f64> {
-        let (path, ingress) = self.current_path(src, prefix)?;
-        Some(PathModel::new(self.graph, self.deployment).rtt_of_path(&path, ingress, src_metro))
+        self.current_route(src, src_metro, prefix).map(|(_, rtt)| rtt)
+    }
+
+    /// Follows each AS's currently selected best hop from `src`, reporting
+    /// every inter-AS crossing to `hop(from, to)`, and returns the ingress
+    /// peering the walk ends on if that session is still active.
+    fn walk(
+        &self,
+        src: AsId,
+        prefix: PrefixId,
+        mut hop: impl FnMut(AsId, AsId),
+    ) -> Option<PeeringId> {
+        let mut cur = src;
+        // A loop-free walk visits each AS at most once.
+        for _ in 0..self.states.len() {
+            match *self.states.get(cur.idx())?.best.get(&prefix)? {
+                Source::Neighbor(n) => {
+                    hop(cur, n);
+                    cur = n;
+                }
+                // A stale route to a withdrawn session is unreachable.
+                Source::Cloud(p) => return self.cloud_active.contains(&(prefix, p)).then_some(p),
+            }
+        }
+        None // transient forwarding loop
     }
 
     // --- internals -------------------------------------------------------
@@ -724,6 +770,19 @@ mod tests {
         (net, dep)
     }
 
+    /// One transit AS peering with the cloud in New York and its single
+    /// stub customer: small enough that every event can be counted.
+    fn two_as_fixture() -> (AsGraph, Deployment, AsId, AsId, MetroId) {
+        let ny =
+            painter_geo::metro::all_metro_ids().find(|&m| metro(m).name == "New York").unwrap();
+        let mut g = AsGraph::new();
+        let t1 = g.add_node(AsTier::Tier1, Region::NorthAmerica, vec![ny], 1.0);
+        let stub = g.add_node(AsTier::Stub, Region::NorthAmerica, vec![ny], 1.0);
+        g.add_link(t1, stub, Relationship::ProviderOf).unwrap();
+        let dep = Deployment::for_tests(vec![ny], vec![(0, t1, PeeringKind::TransitProvider)]);
+        (g, dep, t1, stub, ny)
+    }
+
     #[test]
     fn announcement_converges_to_static_solution_ingresses() {
         let (net, dep) = engine_fixture();
@@ -851,16 +910,7 @@ mod tests {
         for &p in &all {
             engine.announce(SimTime::ZERO, prefix, p);
         }
-        let victim = all[0];
-        for k in 0..30u32 {
-            let t = SimTime::from_secs(60.0 + 2.0 * k as f64);
-            if k % 2 == 0 {
-                engine.withdraw(t, prefix, victim);
-            } else {
-                engine.announce(t, prefix, victim);
-            }
-        }
-        // Ends on an announce (k=29 odd): session active again.
+        schedule_flapping(&mut engine, prefix, all[0]);
         engine.run_until(SimTime::from_secs(600.0));
         for stub in net.graph.stubs() {
             assert!(
@@ -919,13 +969,7 @@ mod tests {
 
     #[test]
     fn session_reset_withdraws_and_restores_every_carried_prefix() {
-        let ny =
-            painter_geo::metro::all_metro_ids().find(|&m| metro(m).name == "New York").unwrap();
-        let mut g = AsGraph::new();
-        let t1 = g.add_node(AsTier::Tier1, Region::NorthAmerica, vec![ny], 1.0);
-        let stub = g.add_node(AsTier::Stub, Region::NorthAmerica, vec![ny], 1.0);
-        g.add_link(t1, stub, Relationship::ProviderOf).unwrap();
-        let dep = Deployment::for_tests(vec![ny], vec![(0, t1, PeeringKind::TransitProvider)]);
+        let (g, dep, _, stub, _) = two_as_fixture();
         let mut engine = BgpEngine::new(&g, &dep, DynamicsConfig::default(), 7);
         let session = PeeringId(0);
         engine.announce(SimTime::ZERO, PrefixId(0), session);
@@ -946,13 +990,7 @@ mod tests {
 
     #[test]
     fn repeated_session_down_keeps_restore_memory() {
-        let ny =
-            painter_geo::metro::all_metro_ids().find(|&m| metro(m).name == "New York").unwrap();
-        let mut g = AsGraph::new();
-        let t1 = g.add_node(AsTier::Tier1, Region::NorthAmerica, vec![ny], 1.0);
-        let stub = g.add_node(AsTier::Stub, Region::NorthAmerica, vec![ny], 1.0);
-        g.add_link(t1, stub, Relationship::ProviderOf).unwrap();
-        let dep = Deployment::for_tests(vec![ny], vec![(0, t1, PeeringKind::TransitProvider)]);
+        let (g, dep, _, stub, _) = two_as_fixture();
         let mut engine = BgpEngine::new(&g, &dep, DynamicsConfig::default(), 7);
         let session = PeeringId(0);
         engine.announce(SimTime::ZERO, PrefixId(0), session);
@@ -1011,15 +1049,241 @@ mod tests {
         assert!(engine.current_path(acc, prefix).is_some(), "the legitimate route survives");
     }
 
+    /// Failure injection: withdraw/announce `victim` every 2 s for a minute
+    /// from t = 60 s (faster than MRAI), ending on an announce.
+    fn schedule_flapping(engine: &mut BgpEngine<'_>, prefix: PrefixId, victim: PeeringId) {
+        for k in 0..30u32 {
+            let t = SimTime::from_secs(60.0 + 2.0 * k as f64);
+            if k % 2 == 0 {
+                engine.withdraw(t, prefix, victim);
+            } else {
+                engine.announce(t, prefix, victim);
+            }
+        }
+    }
+
+    /// The obvious data-plane read the engine shipped before the
+    /// allocation-free walk: materialise the path (a `Vec` and a `HashSet`
+    /// for loop detection), then price it with `rtt_of_path`.
+    fn reference_route(
+        engine: &BgpEngine<'_>,
+        src: AsId,
+        src_metro: MetroId,
+        prefix: PrefixId,
+    ) -> Option<(Vec<AsId>, PeeringId, f64)> {
+        let mut path = Vec::new();
+        let mut seen = HashSet::new();
+        let mut cur = src;
+        loop {
+            if !seen.insert(cur) {
+                return None;
+            }
+            path.push(cur);
+            match *engine.states[cur.idx()].best.get(&prefix)? {
+                Source::Neighbor(n) => cur = n,
+                Source::Cloud(p) => {
+                    if !engine.cloud_active.contains(&(prefix, p)) {
+                        return None;
+                    }
+                    let rtt = PathModel::new(engine.graph, engine.deployment)
+                        .rtt_of_path(&path, p, src_metro);
+                    return Some((path, p, rtt));
+                }
+            }
+        }
+    }
+
+    /// Every public data-plane read against [`reference_route`], RTTs to
+    /// the bit. Returns whether the source was reachable.
+    fn assert_reads_match_reference(
+        engine: &BgpEngine<'_>,
+        src: AsId,
+        src_metro: MetroId,
+        prefix: PrefixId,
+    ) -> bool {
+        let want = reference_route(engine, src, src_metro, prefix);
+        let at = engine.now();
+        assert_eq!(
+            engine.current_path(src, prefix),
+            want.as_ref().map(|(path, ingress, _)| (path.clone(), *ingress)),
+            "{src} at {at:?}"
+        );
+        assert_eq!(
+            engine.current_route(src, src_metro, prefix).map(|(i, rtt)| (i, rtt.to_bits())),
+            want.as_ref().map(|(_, ingress, rtt)| (*ingress, rtt.to_bits())),
+            "{src} at {at:?}"
+        );
+        assert_eq!(engine.current_ingress(src, prefix), want.as_ref().map(|w| w.1));
+        assert_eq!(
+            engine.current_rtt_ms(src, src_metro, prefix).map(f64::to_bits),
+            want.as_ref().map(|w| w.2.to_bits())
+        );
+        want.is_some()
+    }
+
+    #[test]
+    fn generation_counts_handled_events_and_nothing_else() {
+        let (g, dep, ..) = two_as_fixture();
+        let mut engine = BgpEngine::new(&g, &dep, DynamicsConfig::default(), 7);
+        let session = PeeringId(0);
+        // Scheduling, of every kind, handles nothing.
+        engine.announce(SimTime::from_secs(10.0), PrefixId(0), session);
+        engine.withdraw(SimTime::from_secs(100.0), PrefixId(0), session);
+        engine.announce(SimTime::from_secs(200.0), PrefixId(0), session);
+        engine.session_down(SimTime::from_secs(300.0), session);
+        engine.session_up(SimTime::from_secs(400.0), session);
+        engine.leak_start(SimTime::from_secs(500.0), session);
+        engine.leak_end(SimTime::from_secs(600.0), session);
+        assert_eq!(engine.generation(), 0);
+        // Neither does running over an interval with no event in it.
+        engine.run_until(SimTime::from_secs(9.0));
+        assert_eq!((engine.generation(), engine.now()), (0, SimTime::from_secs(9.0)));
+
+        // With one neighbor per AS no MRAI timer ever has to fire, so the
+        // events popped are exactly the cloud-side ones scheduled above
+        // plus one delivery per churn record (cloud -> t1 -> stub).
+        for (until_s, cloud_events, deliveries) in [
+            (99.0, 1, 2),  // announce
+            (199.0, 2, 4), // withdraw
+            (299.0, 3, 6), // re-announce
+            // One session event: the per-prefix withdrawal and announcement
+            // it fans out into are handled inside it, not popped.
+            (399.0, 4, 8),
+            (499.0, 5, 10),
+            // The stub is t1's only customer and has no one to leak to.
+            (700.0, 7, 10),
+        ] {
+            engine.run_until(SimTime::from_secs(until_s));
+            assert_eq!(engine.churn().len(), deliveries, "at {until_s} s");
+            assert_eq!(engine.generation(), cloud_events + deliveries as u64, "at {until_s} s");
+            let settled = engine.generation();
+            engine.run_until(SimTime::from_secs(until_s + 0.5));
+            assert_eq!(engine.generation(), settled, "nothing is due in the next half second");
+        }
+        assert!(engine.queue.is_empty(), "every scheduled event was popped and counted");
+    }
+
+    #[test]
+    fn walk_agrees_with_the_reference_through_flapping_and_leaks() {
+        // Every stub, after every instant at which the engine handled
+        // something, through warm-up, rapid flapping and a route leak.
+        let (net, dep) = engine_fixture();
+        let mut engine = BgpEngine::new(&net.graph, &dep, DynamicsConfig::default(), 99);
+        let prefix = PrefixId(0);
+        let all: Vec<PeeringId> = dep.peerings().iter().map(|p| p.id).collect();
+        for &p in &all {
+            engine.announce(SimTime::ZERO, prefix, p);
+        }
+        schedule_flapping(&mut engine, prefix, all[0]);
+        engine.leak_start(SimTime::from_secs(130.0), all[1]);
+        engine.leak_end(SimTime::from_secs(160.0), all[1]);
+        let stubs: Vec<(AsId, MetroId)> =
+            net.graph.stubs().map(|s| (s.id, s.presence[0])).collect();
+        let (mut instants, mut lit, mut dark) = (0, 0, 0);
+        while let Some(t) = engine.queue.peek_time() {
+            engine.run_until(t);
+            instants += 1;
+            for &(stub, home) in &stubs {
+                if assert_reads_match_reference(&engine, stub, home, prefix) {
+                    lit += 1;
+                } else {
+                    dark += 1;
+                }
+            }
+        }
+        assert!(
+            instants > 100 && lit > 0 && dark > 0,
+            "{instants} instants, {lit} lit, {dark} dark"
+        );
+    }
+
+    #[test]
+    fn walk_agrees_with_the_reference_on_no_route_stale_route_and_loop() {
+        let (g, dep, t1, stub, ny) = two_as_fixture();
+        let mut engine = BgpEngine::new(&g, &dep, DynamicsConfig::default(), 7);
+        let (prefix, session) = (PrefixId(0), PeeringId(0));
+        // No route: nothing was ever announced.
+        assert!(!assert_reads_match_reference(&engine, stub, ny, prefix));
+
+        engine.announce(SimTime::ZERO, prefix, session);
+        engine.run_until(SimTime::from_secs(60.0));
+        assert!(assert_reads_match_reference(&engine, stub, ny, prefix));
+
+        // Stale route: the cloud has withdrawn the session but the
+        // withdrawal is still in flight to t1, which keeps selecting it.
+        engine.withdraw(SimTime::from_secs(60.0), prefix, session);
+        engine.run_until(SimTime::from_secs(60.0));
+        assert_eq!(engine.states[t1.idx()].best.get(&prefix), Some(&Source::Cloud(session)));
+        assert!(!engine.cloud_active.contains(&(prefix, session)));
+        assert!(!assert_reads_match_reference(&engine, stub, ny, prefix));
+
+        // Transient loop: each AS selects the other.
+        engine.states[t1.idx()].best.insert(prefix, Source::Neighbor(stub));
+        engine.states[stub.idx()].best.insert(prefix, Source::Neighbor(t1));
+        assert!(!assert_reads_match_reference(&engine, stub, ny, prefix));
+        assert!(!assert_reads_match_reference(&engine, t1, ny, prefix));
+    }
+
+    #[test]
+    fn ids_outside_the_graph_are_unreachable_not_a_panic() {
+        let (g, dep, ..) = two_as_fixture();
+        let mut engine = BgpEngine::new(&g, &dep, DynamicsConfig::default(), 7);
+        engine.announce(SimTime::ZERO, PrefixId(0), PeeringId(0));
+        engine.run_until(SimTime::from_secs(60.0));
+        for src in [AsId(g.len() as u32), AsId(u32::MAX)] {
+            assert_eq!(engine.current_path(src, PrefixId(0)), None);
+            assert_eq!(engine.current_rtt_ms(src, MetroId(0), PrefixId(0)), None);
+        }
+    }
+
+    #[test]
+    fn updates_in_window_equals_the_linear_filter() {
+        // The `rapid_flapping_does_not_corrupt_state` schedule, on two
+        // prefixes so that the window holds records to skip.
+        let (net, dep) = engine_fixture();
+        let mut engine = BgpEngine::new(&net.graph, &dep, DynamicsConfig::default(), 99);
+        let all: Vec<PeeringId> = dep.peerings().iter().map(|p| p.id).collect();
+        for &p in &all {
+            engine.announce(SimTime::ZERO, PrefixId(0), p);
+            engine.announce(SimTime::from_secs(1.0), PrefixId(1), p);
+        }
+        schedule_flapping(&mut engine, PrefixId(0), all[0]);
+        engine.run_until(SimTime::from_secs(600.0));
+        // An event scheduled in the past fires now and is logged now.
+        engine.withdraw(SimTime::from_secs(5.0), PrefixId(1), all[0]);
+        engine.run_until(SimTime::from_secs(700.0));
+        assert!(engine.churn().windows(2).all(|w| w[0].time <= w[1].time));
+
+        let linear = |prefix: PrefixId, from: SimTime, to: SimTime| {
+            engine
+                .churn()
+                .iter()
+                .filter(|r| r.prefix == prefix && r.time >= from && r.time < to)
+                .count()
+        };
+        let mut edges: Vec<SimTime> =
+            [0.0, 0.5, 1.0, 59.9, 60.0, 61.3, 90.0, 120.0, 600.0, 601.0, 700.0, 9e3]
+                .map(SimTime::from_secs)
+                .to_vec();
+        // Exact record times: both half-open ends land on a record.
+        edges.extend(engine.churn().iter().step_by(97).map(|r| r.time));
+        let mut nonempty = 0;
+        for &from in &edges {
+            for &to in &edges {
+                for prefix in [PrefixId(0), PrefixId(1), PrefixId(2)] {
+                    let got = engine.updates_in_window(prefix, from, to);
+                    assert_eq!(got, linear(prefix, from, to), "{prefix:?} [{from:?}, {to:?})");
+                    assert!(to > from || got == 0, "empty and inverted windows hold nothing");
+                    nonempty += usize::from(got > 0);
+                }
+            }
+        }
+        assert!(nonempty > 50, "the fixture must exercise populated windows: {nonempty}");
+    }
+
     #[test]
     fn current_rtt_tracks_path_geography() {
-        let ny =
-            painter_geo::metro::all_metro_ids().find(|&m| metro(m).name == "New York").unwrap();
-        let mut g = AsGraph::new();
-        let t1 = g.add_node(AsTier::Tier1, Region::NorthAmerica, vec![ny], 1.0);
-        let stub = g.add_node(AsTier::Stub, Region::NorthAmerica, vec![ny], 1.0);
-        g.add_link(t1, stub, Relationship::ProviderOf).unwrap();
-        let dep = Deployment::for_tests(vec![ny], vec![(0, t1, PeeringKind::TransitProvider)]);
+        let (g, dep, _, stub, ny) = two_as_fixture();
         let mut engine = BgpEngine::new(&g, &dep, DynamicsConfig::default(), 7);
         engine.announce(SimTime::ZERO, PrefixId(0), PeeringId(0));
         engine.run_until(SimTime::from_secs(60.0));

@@ -110,25 +110,16 @@ impl<'a> PathModel<'a> {
     /// Computes the round-trip latency of an explicit AS path entering the
     /// cloud at `ingress`, for traffic originating at `src_metro`.
     ///
-    /// Used by the dynamic BGP engine, where the current data-plane path is
-    /// assembled hop by hop rather than from a solved table. The path must
-    /// list adjacent ASes ending at `ingress`'s neighbor.
+    /// For paths assembled hop by hop rather than from a solved table (the
+    /// dynamic BGP engine accumulates the same sum while it walks). The
+    /// path must list adjacent ASes ending at `ingress`'s neighbor.
     pub fn rtt_of_path(&self, path: &[AsId], ingress: PeeringId, src_metro: MetroId) -> f64 {
-        let mut rtt_ms = 0.0;
-        let mut cursor: GeoPoint = metro(src_metro).point();
+        debug_assert_eq!(Some(&self.deployment.peering(ingress).neighbor), path.last());
+        let mut rtt = PathRtt::new(*self, src_metro);
         for w in path.windows(2) {
-            let (exit_metro, entry_metro) = self.graph.attachments(w[0], w[1]);
-            rtt_ms +=
-                min_rtt_ms(&cursor, &metro(exit_metro).point()) * self.graph.node(w[0]).inflation;
-            rtt_ms += min_rtt_ms(&metro(exit_metro).point(), &metro(entry_metro).point())
-                * self.graph.node(w[1]).inflation;
-            cursor = metro(entry_metro).point();
+            rtt.hop(w[0], w[1]);
         }
-        let neighbor = *path.last().expect("paths are non-empty");
-        debug_assert_eq!(self.deployment.peering(ingress).neighbor, neighbor);
-        let pop_point = metro(self.deployment.peering_metro(ingress)).point();
-        rtt_ms += min_rtt_ms(&cursor, &pop_point) * self.graph.node(neighbor).inflation;
-        rtt_ms + PER_HOP_RTT_MS * path.len() as f64
+        rtt.finish(ingress)
     }
 
     /// The speed-of-light lower bound from a metro to a peering's PoP.
@@ -137,6 +128,44 @@ impl<'a> PathModel<'a> {
             &metro(src_metro).point(),
             &metro(self.deployment.peering_metro(peering)).point(),
         )
+    }
+}
+
+/// A path's round-trip latency accumulated hop by hop, for walkers that
+/// discover the path as they go and never materialise it.
+pub(crate) struct PathRtt<'a> {
+    model: PathModel<'a>,
+    rtt_ms: f64,
+    cursor: GeoPoint,
+    ases: usize,
+}
+
+impl<'a> PathRtt<'a> {
+    /// Starts at `src_metro`, inside the path's first AS.
+    pub(crate) fn new(model: PathModel<'a>, src_metro: MetroId) -> Self {
+        PathRtt { model, rtt_ms: 0.0, cursor: metro(src_metro).point(), ases: 1 }
+    }
+
+    /// Crosses from `from` (where the traffic sits) into its neighbor `to`.
+    pub(crate) fn hop(&mut self, from: AsId, to: AsId) {
+        let graph = self.model.graph;
+        let (exit_metro, entry_metro) = graph.attachments(from, to);
+        self.rtt_ms +=
+            min_rtt_ms(&self.cursor, &metro(exit_metro).point()) * graph.node(from).inflation;
+        self.rtt_ms += min_rtt_ms(&metro(exit_metro).point(), &metro(entry_metro).point())
+            * graph.node(to).inflation;
+        self.cursor = metro(entry_metro).point();
+        self.ases += 1;
+    }
+
+    /// Enters the cloud at `ingress`, a session of the AS the path ended in.
+    pub(crate) fn finish(self, ingress: PeeringId) -> f64 {
+        let PathModel { graph, deployment } = self.model;
+        let pop_point = metro(deployment.peering_metro(ingress)).point();
+        let neighbor = deployment.peering(ingress).neighbor;
+        self.rtt_ms
+            + min_rtt_ms(&self.cursor, &pop_point) * graph.node(neighbor).inflation
+            + PER_HOP_RTT_MS * self.ases as f64
     }
 }
 

@@ -232,6 +232,15 @@ impl DataPlaneState {
         }
     }
 
+    /// Injections applied so far: the version stamp of this state. The
+    /// down counters change only while [`DataPlaneState::advance`] moves
+    /// this cursor, so [`DataPlaneState::pop_down`] and
+    /// [`DataPlaneState::tunnel_down`] answer the same for as long as it
+    /// stays put.
+    pub fn applied(&self) -> usize {
+        self.cursor
+    }
+
     /// Whether the PoP is administratively down right now.
     pub fn pop_down(&self, pop: PopId) -> bool {
         self.pop_down.get(pop.idx()).is_some_and(|&c| c > 0)
@@ -337,8 +346,13 @@ mod tests {
         let mut state = DataPlaneState::new(2, 2);
         state.advance(&schedule, SimTime::from_secs(5.0));
         assert!(!state.pop_down(PopId(0)));
+        assert_eq!(state.applied(), 0, "nothing is due before the first outage");
         state.advance(&schedule, SimTime::from_secs(15.0));
         assert!(state.pop_down(PopId(0)));
+        let applied = state.applied();
+        assert!(applied > 0);
+        state.advance(&schedule, SimTime::from_secs(19.0));
+        assert_eq!(state.applied(), applied, "an interval without injections applies none");
         // Fault `a` recovers at 40 s, but `b` holds the PoP down.
         state.advance(&schedule, SimTime::from_secs(45.0));
         assert!(state.pop_down(PopId(0)), "overlapping outage must keep the PoP down");
@@ -346,6 +360,7 @@ mod tests {
         state.advance(&schedule, SimTime::from_secs(61.0));
         assert!(!state.pop_down(PopId(0)));
         assert!(!state.pop_down(PopId(1)), "the other PoP was never touched");
+        assert_eq!(state.applied(), schedule.injections().len(), "every injection, once");
     }
 
     #[test]

@@ -199,12 +199,22 @@ pub(crate) struct Plane<'w> {
     pub(crate) schedule: &'w Schedule,
     engine: BgpEngine<'w>,
     dps: DataPlaneState,
+    /// The stub's cells as of `stamp` (see [`Plane::cells`]).
+    cells: Row,
+    stamp: Option<(u64, usize)>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `(reads, recomputes)` over every [`Plane::cells`] call made on this
+    /// thread, so a test can audit the planes inside a whole campaign.
+    static CELL_READS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 impl<'w> Plane<'w> {
     fn new(world: &'w HarnessWorld, schedule: &'w Schedule, engine: BgpEngine<'w>) -> Self {
         let dps = DataPlaneState::new(world.deployment.pops().len(), world.plan.len());
-        Plane { world, schedule, engine, dps }
+        Plane { world, schedule, engine, dps, cells: Row::new(), stamp: None }
     }
 
     /// Advances BGP and the data-plane state to `t` (non-decreasing).
@@ -213,23 +223,47 @@ impl<'w> Plane<'w> {
         self.dps.advance(self.schedule, t);
     }
 
+    /// The version of everything a cell is a function of: events the
+    /// engine has handled and injections the data-plane state has applied
+    /// (DESIGN.md, "State-versioned sampling").
+    fn stamp(&self) -> (u64, usize) {
+        (self.engine.generation(), self.dps.applied())
+    }
+
+    /// The stub's cell per chaos tunnel, in plan order, without the anycast
+    /// overhead — recomputed only when [`Plane::stamp`] has moved since the
+    /// last read.
+    fn cells(&mut self) -> &[Cell] {
+        let stamp = self.stamp();
+        let stale = self.stamp != Some(stamp);
+        if stale {
+            self.cells = (0..self.world.plan.len()).map(|idx| self.cell(idx)).collect();
+            self.stamp = Some(stamp);
+        }
+        #[cfg(test)]
+        CELL_READS.with(|c| c.set((c.get().0 + 1, c.get().1 + u64::from(stale))));
+        &self.cells
+    }
+
     /// The ingress `src`'s route to `prefix` lands on right now, if its
     /// PoP is up — a pure read.
     pub(crate) fn ingress(&self, src: AsId, prefix: PrefixId) -> Option<PeeringId> {
-        let (_, ingress) = self.engine.current_path(src, prefix)?;
-        (!self.pop_down(self.world.deployment.peering(ingress).pop)).then_some(ingress)
+        self.engine.current_ingress(src, prefix).filter(|&ingress| self.ingress_up(ingress))
     }
 
-    /// The stub's sampled cell for chaos tunnel `idx`.
-    fn cell(&self, idx: usize, anycast_overhead_ms: f64) -> Cell {
+    /// The stub's sampled cell for chaos tunnel `idx`, from the engine.
+    fn cell(&self, idx: usize) -> Cell {
         if self.dps.tunnel_down(idx) {
             return None;
         }
         let world = self.world;
-        let prefix = world.plan[idx].0;
-        let ingress = self.ingress(world.stub, prefix)?;
-        let rtt = self.engine.current_rtt_ms(world.stub, world.stub_metro, prefix)?;
-        Some((ingress, rtt + if idx == 0 { anycast_overhead_ms } else { 0.0 }))
+        self.engine
+            .current_route(world.stub, world.stub_metro, world.plan[idx].0)
+            .filter(|&(ingress, _)| self.ingress_up(ingress))
+    }
+
+    fn ingress_up(&self, ingress: PeeringId) -> bool {
+        !self.pop_down(self.world.deployment.peering(ingress).pop)
     }
 
     /// Whether `pop` is administratively down right now.
@@ -284,7 +318,11 @@ impl<'w> ControlPlane<'w> {
     /// prefix of the plan.
     pub(crate) fn sample(&mut self, t: SimTime) -> Row {
         self.plane.advance(t);
-        (0..self.base.len()).map(|idx| self.plane.cell(idx, self.anycast_overhead_ms)).collect()
+        let mut row = self.plane.cells().to_vec();
+        if let Some(Some((_, rtt))) = row.first_mut() {
+            *rtt += self.anycast_overhead_ms;
+        }
+        row
     }
 }
 
@@ -362,11 +400,7 @@ impl<'w> RepairPlane<'w> {
     /// gated by the same administrative data-plane liveness.
     pub(crate) fn overlay(&mut self, t: SimTime, fixed: &[Cell]) -> Row {
         self.plane.advance(t);
-        fixed
-            .iter()
-            .enumerate()
-            .map(|(idx, cell)| cell.or_else(|| self.plane.cell(idx, 0.0)))
-            .collect()
+        fixed.iter().zip(self.plane.cells()).map(|(cell, repair)| cell.or(*repair)).collect()
     }
 
     /// One round's verdict on `health`, the window since the last round.
@@ -517,6 +551,9 @@ pub(crate) fn drain_and_score(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{standard_suite, ChaosTiming};
+    use crate::scenario::Scale;
+    use crate::soak::{run_soak, soak_spec, SoakConfig};
     use painter_chaos::ScenarioSpec;
 
     const HEALTHY: HealthSample = HealthSample { availability: 1.0, p95_latency_ms: 10.0 };
@@ -600,6 +637,166 @@ mod tests {
         assert!(repair.install(secs(31.0), grown, TraceId::NONE));
         let lit = repair.overlay(secs(90.0), &dark);
         assert_eq!(lit[1].map(|(ingress, _)| ingress), Some(PeeringId(2)));
+    }
+
+    /// `(reads, recomputes)` made by this thread's planes so far.
+    fn cell_reads() -> (u64, u64) {
+        CELL_READS.with(|c| c.get())
+    }
+
+    fn bits(row: &[Cell]) -> Vec<Option<(PeeringId, u64)>> {
+        row.iter().map(|cell| cell.map(|(ingress, rtt)| (ingress, rtt.to_bits()))).collect()
+    }
+
+    /// Drives both planes over `spec` on a grid of `steps` ticks `tick_s`
+    /// apart, installing a repair for the first unicast cell that goes dark
+    /// and having the guard revert it two rounds later. At every step the
+    /// memoised rows must equal rows rebuilt cell by cell from the engine
+    /// (the per-tick recomputation this kernel shipped before the memo),
+    /// and the memo must have recomputed exactly when a stamp moved.
+    fn assert_memo_is_invisible(
+        spec: &ScenarioSpec,
+        warmup_s: f64,
+        overhead_ms: f64,
+        tick_s: f64,
+        steps: usize,
+    ) {
+        let world = build_world();
+        let schedule = Schedule::compile(spec, &world.view(), 1).expect("spec");
+        let sink = TraceSink::inert();
+        let mut control = ControlPlane::new(&world, &schedule, 1, warmup_s, overhead_ms, &sink);
+        let mut repair = RepairPlane::new(
+            &world,
+            &schedule,
+            1,
+            RollbackConfig::default(),
+            &Registry::new(),
+            &sink,
+        );
+        let reads_at_start = cell_reads();
+        let first_stamps = (control.plane.stamp(), repair.plane.stamp());
+        let mut last_stamps = None;
+        let mut stamp_moves = 0u64;
+        let mut revert_at = None;
+        let (mut lit_by_repair, mut reverted) = (0usize, false);
+
+        for step in 0..steps {
+            let t = secs(step as f64 * tick_s);
+            let row = control.sample(t);
+            let repaired = repair.overlay(t, &row);
+
+            let stamps = (control.plane.stamp(), repair.plane.stamp());
+            let (was_control, was_repair) = last_stamps.unzip();
+            stamp_moves += u64::from(was_control != Some(stamps.0));
+            stamp_moves += u64::from(was_repair != Some(stamps.1));
+            last_stamps = Some(stamps);
+
+            let fresh_fixed: Row = (0..world.plan.len())
+                .map(|idx| {
+                    let (ingress, rtt) = control.plane.cell(idx)?;
+                    Some((ingress, rtt + if idx == 0 { overhead_ms } else { 0.0 }))
+                })
+                .collect();
+            let fresh_repaired: Row = fresh_fixed
+                .iter()
+                .enumerate()
+                .map(|(idx, cell)| cell.or_else(|| repair.plane.cell(idx)))
+                .collect();
+            assert_eq!(bits(&row), bits(&fresh_fixed), "{}: sample at step {step}", spec.name);
+            assert_eq!(
+                bits(&repaired),
+                bits(&fresh_repaired),
+                "{}: overlay at step {step}",
+                spec.name
+            );
+            lit_by_repair += usize::from(repaired != row);
+
+            match revert_at {
+                None => {
+                    let Some(idx) = (1..row.len()).find(|&idx| row[idx].is_none()) else {
+                        continue;
+                    };
+                    let prefix = world.plan[idx].0;
+                    let mut grown = repair.installed().clone();
+                    let via = world
+                        .deployment
+                        .peerings()
+                        .iter()
+                        .find(|p| !repair.plane.pop_down(p.pop) && !grown.contains(prefix, p.id))
+                        .expect("a live peering the prefix is not on yet");
+                    grown.add(prefix, via.id);
+                    assert!(!repair.judge(t, HEALTHY));
+                    assert!(repair.install(t, grown, TraceId::NONE));
+                    revert_at = Some(t + secs(2.0 * ITER_S));
+                }
+                Some(at) if !reverted && t >= at => {
+                    assert!(repair.judge(t, SICK), "{}: the guard must revert", spec.name);
+                    reverted = true;
+                }
+                Some(_) => {}
+            }
+        }
+
+        assert!(reverted, "{}: never got to the revert", spec.name);
+        assert!(lit_by_repair > 0, "{}: the repair never lit a dark cell", spec.name);
+        let reads = cell_reads().0 - reads_at_start.0;
+        let recomputes = cell_reads().1 - reads_at_start.1;
+        assert_eq!(reads, 2 * steps as u64);
+        assert_eq!(recomputes, stamp_moves, "{}: one recompute per moved stamp", spec.name);
+        // Per plane at most one recompute per handled event or applied
+        // injection, plus the first read.
+        let (last_control, last_repair) = last_stamps.expect("steps > 0");
+        let budget = |first: (u64, usize), last: (u64, usize)| last.0 - first.0 + last.1 as u64 + 1;
+        let allowed = budget(first_stamps.0, last_control) + budget(first_stamps.1, last_repair);
+        assert!(recomputes <= allowed, "{}: {recomputes} recomputes > {allowed}", spec.name);
+        assert!(recomputes < reads, "{}: nothing was ever served from the memo", spec.name);
+    }
+
+    #[test]
+    fn memoised_rows_equal_per_tick_recomputation_on_the_chaos_grid() {
+        let timing = ChaosTiming::for_scale(Scale::Test);
+        let multi_fault = standard_suite(&timing).pop().expect("multi-fault is last");
+        assert_eq!(multi_fault.name, "multi-fault");
+        let steps = (timing.horizon_s * 1000.0 / SAMPLE_MS) as usize;
+        assert_memo_is_invisible(
+            &multi_fault,
+            timing.warmup_s,
+            ANYCAST_OVERHEAD_MS,
+            SAMPLE_MS / 1000.0,
+            steps,
+        );
+    }
+
+    #[test]
+    fn memoised_rows_equal_per_tick_recomputation_on_the_soak_grid() {
+        let config = SoakConfig::for_scale(Scale::Test);
+        assert_memo_is_invisible(&soak_spec(&config), 30.0, 0.0, 1.0, config.horizon_s() as usize);
+    }
+
+    #[test]
+    fn a_soak_serves_almost_every_read_from_the_memo() {
+        let count = || {
+            let before = cell_reads();
+            let outcome = run_soak(Scale::Test, 1).expect("soak");
+            let after = cell_reads();
+            (outcome.horizon_s as u64, after.0 - before.0, after.1 - before.1)
+        };
+        let (ticks, reads, recomputes) = count();
+        assert_eq!(reads, 2 * ticks, "two planes, one read per tick");
+        assert!(recomputes > 0 && recomputes * 20 < reads, "{recomputes} of {reads} reads");
+        assert_eq!(count(), (ticks, reads, recomputes), "the count must repeat exactly");
+    }
+
+    #[test]
+    fn ingress_of_an_as_outside_the_world_is_none() {
+        let world = build_world();
+        let schedule =
+            Schedule::compile(&ScenarioSpec::new("quiet", 60.0), &world.view(), 1).expect("spec");
+        let control =
+            ControlPlane::new(&world, &schedule, 1, 30.0, ANYCAST_OVERHEAD_MS, &TraceSink::inert());
+        assert!(control.plane.ingress(world.stub, PrefixId(0)).is_some());
+        let outside = AsId(world.graph.len() as u32);
+        assert_eq!(control.plane.ingress(outside, PrefixId(0)), None);
     }
 
     #[test]

@@ -75,12 +75,11 @@ pub fn run(_scale: Scale) -> Figure {
             // PoP-A blackholes immediately, even while its BGP session is
             // still waiting for failure detection to withdraw it.
             let state = engine
-                .current_path(world.stub, *prefix)
-                .filter(|(_, ingress)| {
+                .current_route(world.stub, world.stub_metro, *prefix)
+                .filter(|(ingress, _)| {
                     !(t >= fail_at && world.deployment.peering(*ingress).pop == PopId(0))
                 })
-                .and_then(|_| engine.current_rtt_ms(world.stub, world.stub_metro, *prefix))
-                .map(|r| r + overhead);
+                .map(|(_, rtt)| rtt + overhead);
             match state {
                 Some(rtt) => {
                     tm.schedule_path_rtt(t, target.tunnel, rtt);

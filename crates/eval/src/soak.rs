@@ -234,7 +234,7 @@ impl SoakOutcome {
 /// Builds the generated soak scenario: the same fault choreography
 /// every day, staggered by day start, with the oscillating-repair and
 /// latency-spike tunnels rotating daily.
-fn soak_spec(config: &SoakConfig) -> ScenarioSpec {
+pub(crate) fn soak_spec(config: &SoakConfig) -> ScenarioSpec {
     let d = config.day_s;
     let mut spec = ScenarioSpec::new("soak", config.horizon_s());
     for day in 0..config.days {
@@ -362,6 +362,15 @@ pub fn run_soak_with_config(config: &SoakConfig, seed: u64) -> Result<SoakOutcom
         return Err("days must be at least 1, got 0".to_string());
     }
     check_clock(&[("day_s", config.day_s)])?;
+    // A NaN weight poisons every availability sum; the rotator clamps
+    // the amplitude's range but lets NaN through.
+    if !config.surge_factor.is_finite() || config.surge_factor < 0.0 {
+        let got = config.surge_factor;
+        return Err(format!("surge_factor must be finite and non-negative, got {got}"));
+    }
+    if !config.amplitude.is_finite() {
+        return Err(format!("amplitude must be finite, got {}", config.amplitude));
+    }
     let world = build_world();
     let plan = &world.plan;
     let spec = soak_spec(config);
@@ -660,6 +669,15 @@ mod tests {
         for day_s in [0.0, -5.0, f64::NAN, f64::INFINITY] {
             let err = run_soak_with_config(&SoakConfig { day_s, ..config }, 1).unwrap_err();
             assert!(err.contains("day_s"), "{err}");
+        }
+        // Demand shapes that used to return `Ok` with NaN availabilities.
+        for surge_factor in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = run_soak_with_config(&SoakConfig { surge_factor, ..config }, 1).unwrap_err();
+            assert!(err.contains("surge_factor"), "{err}");
+        }
+        for amplitude in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = run_soak_with_config(&SoakConfig { amplitude, ..config }, 1).unwrap_err();
+            assert!(err.contains("amplitude"), "{err}");
         }
     }
 

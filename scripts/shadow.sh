@@ -2,7 +2,8 @@
 # Tier-1 in a container without a registry: copy the tree to a shadow
 # directory, point every crates.io dependency at a stand-in, and run the
 # test binaries that build under them: the root package's and painter-core's
-# integration tests, and the unit tests of painter-core and painter-eval.
+# integration tests, and the unit tests of painter-core, painter-eval,
+# painter-bgp and painter-chaos.
 # `proptest!` bodies compile away, so the test files that mention proptest
 # are left out (ROADMAP item 4(b)).
 #   scripts/shadow.sh [shadow-dir] [extra cargo-test args, e.g. --features obs-off]
@@ -45,7 +46,7 @@ status=0
 cargo test --offline --release --no-fail-fast -p painter $(plain_tests tests) "$@" || status=$?
 # shellcheck disable=SC2046
 cargo test --offline --release --no-fail-fast -p painter-core $(plain_tests crates/core/tests) "$@" || status=$?
-cargo test --offline --release --no-fail-fast -p painter-core -p painter-eval --lib "$@" || status=$?
+cargo test --offline --release --no-fail-fast -p painter-core -p painter-eval -p painter-bgp -p painter-chaos --lib "$@" || status=$?
 # Debug too: the `debug_assert!` precondition tests exist only there.
 cargo test --offline --no-fail-fast -p painter-core --lib "$@" || status=$?
 exit $status
